@@ -7,8 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <thread>
-
 #include "bench_util.h"
 #include "hierarq/algebra/semirings.h"
 #include "hierarq/algebra/two_monoid.h"
@@ -34,10 +32,6 @@ size_t MeasureOps(const ConjunctiveQuery& q, const Database& db) {
 }
 
 void EmitThroughputJson();
-void EmitThreadScalingRows(bench::JsonReport* report,
-                           const ConjunctiveQuery& q, const Database& db);
-void EmitAdaptiveRows(bench::JsonReport* report, const ConjunctiveQuery& q,
-                      const Database& db);
 void EmitSimdKernelRows(bench::JsonReport* report,
                         const ConjunctiveQuery& q, const Database& db);
 
@@ -89,17 +83,16 @@ void Report() {
 }
 
 /// Measures steady-state Algorithm 1 throughput (amortized through an
-/// Evaluator: cached plan, reused relation buffers) per runtime storage
-/// backend and records flat-vs-columnar A/B rows in BENCH_algorithm1.json
-/// so later PRs have a perf trajectory to compare against. Two measures
-/// per (size, backend):
+/// Evaluator: cached plan, reused relation buffers) per scale and records
+/// the rows in BENCH_algorithm1.json so later PRs have a perf trajectory
+/// to compare against. Two measures per size:
 ///   * evals_per_sec — full evaluation: base-relation annotation + rule
 ///     replay (the per-request cost of a cold database);
 ///   * replays_per_sec — data-phase replay only, against a pre-annotated
-///     pool (AssignFrom copy + Rule 1/Rule 2 execution): the measure the
-///     columnar projection fast path targets, since annotation matching
-///     is identical across backends.
-/// "ops" are processed facts: evaluations/sec × |D|.
+///     pool (AssignFrom copy + Rule 1/Rule 2 execution).
+/// "ops" are processed facts: evaluations/sec × |D|. The ratio of the
+/// replay ns/fact at the largest and smallest scale is a CI scaling gate
+/// (tools/bench_compare.py --scaling-gates).
 void EmitThroughputJson() {
   bench::JsonReport report("algorithm1_ops", "BENCH_algorithm1.json");
   const ConjunctiveQuery q = MakePaperQuery();
@@ -108,65 +101,55 @@ void EmitThroughputJson() {
       [](const Fact&) -> uint64_t { return 1; });
   const auto plus = [](uint64_t a, uint64_t b) { return a + b; };
 
-  std::printf("  steady-state throughput (default storage=%s):\n",
-              bench::JsonReport::StorageBackend());
+  std::printf("  steady-state throughput:\n");
   // Scales target |D| ≈ 30k / 100k / 300k total facts (the paper query
-  // has three relations); below that the run is annotation-bound and
-  // storage choice barely registers. The biggest instance is built once
-  // and shared with the thread-scaling and SIMD sections below.
+  // has three relations). The biggest instance is built once and shared
+  // with the SIMD section below.
   const Database big_db = PaperQueryDatabase(q, 100000);
   const auto measure_size = [&](const Database& db) {
-    for (StorageKind kind : kAllStorageKinds) {
-      Evaluator evaluator(kind);
-      const double evals_per_sec = bench::MeasureRate([&] {
-        benchmark::DoNotOptimize(
-            evaluator.Evaluate<CountMonoid>(q, monoid, db, annotate));
-      });
-      const double facts_per_sec =
-          evals_per_sec * static_cast<double>(db.NumFacts());
+    Evaluator evaluator;
+    const double evals_per_sec = bench::MeasureRate([&] {
+      benchmark::DoNotOptimize(
+          evaluator.Evaluate<CountMonoid>(q, monoid, db, annotate));
+    });
+    const double facts_per_sec =
+        evals_per_sec * static_cast<double>(db.NumFacts());
 
-      // Replay-only: annotate once into a shared pool, then re-run the
-      // data phase per iteration (the service-layer hot loop).
-      auto plan = evaluator.GetPlan(q);
-      const AnnotationPool<uint64_t> pool = AnnotateForQuerySet<uint64_t>(
-          {&q}, db, annotate, plus, kind);
-      const auto bases = ResolveBases<uint64_t>(q, pool);
-      const double replays_per_sec = bench::MeasureRate([&] {
-        benchmark::DoNotOptimize(
-            evaluator.ReplayPlan(**plan, monoid, q, bases));
-      });
+    // Replay-only: annotate once into a shared pool, then re-run the data
+    // phase per iteration (the service-layer hot loop).
+    auto plan = evaluator.GetPlan(q);
+    const AnnotationPool<uint64_t> pool =
+        AnnotateForQuerySet<uint64_t>({&q}, db, annotate, plus);
+    const auto bases = ResolveBases<uint64_t>(q, pool);
+    const double replays_per_sec = bench::MeasureRate([&] {
+      benchmark::DoNotOptimize(evaluator.ReplayPlan(**plan, monoid, q, bases));
+    });
 
-      std::printf(
-          "    |D| = %-8zu %-9s %9.0f evals/sec  %9.0f replays/sec  "
-          "%11.3e facts/sec\n",
-          db.NumFacts(), StorageKindName(kind), evals_per_sec,
-          replays_per_sec, facts_per_sec);
-      report.AddRow(
-          bench::JsonReport::StorageRow(
-              "paper_query/" + std::to_string(db.NumFacts()), kind),
-          {{"num_facts", static_cast<double>(db.NumFacts())},
-           {"threads", 1.0},
-           {"evals_per_sec", evals_per_sec},
-           {"replays_per_sec", replays_per_sec},
-           {"ops_per_sec", facts_per_sec}});
-    }
+    std::printf(
+        "    |D| = %-8zu %9.0f evals/sec  %9.0f replays/sec  "
+        "%11.3e facts/sec\n",
+        db.NumFacts(), evals_per_sec, replays_per_sec, facts_per_sec);
+    report.AddRow(bench::JsonReport::LayoutRow(
+                      "paper_query/" + std::to_string(db.NumFacts())),
+                  {{"num_facts", static_cast<double>(db.NumFacts())},
+                   {"evals_per_sec", evals_per_sec},
+                   {"replays_per_sec", replays_per_sec},
+                   {"ops_per_sec", facts_per_sec}});
   };
   for (size_t tuples : {10000, 33334}) {
     measure_size(PaperQueryDatabase(q, tuples));
   }
   measure_size(big_db);
-  EmitThreadScalingRows(&report, q, big_db);
-  EmitAdaptiveRows(&report, q, big_db);
   EmitSimdKernelRows(&report, q, big_db);
 
   // Instrumentation overhead (obs/): the same paper-query replay with
   // the tracer uninstalled (the production default — must be free) and
   // installed (records one step event per elimination step per replay).
   {
-    Evaluator evaluator(kDefaultStorageKind);
+    Evaluator evaluator;
     auto plan = evaluator.GetPlan(q);
-    const AnnotationPool<uint64_t> pool = AnnotateForQuerySet<uint64_t>(
-        {&q}, big_db, annotate, plus, kDefaultStorageKind);
+    const AnnotationPool<uint64_t> pool =
+        AnnotateForQuerySet<uint64_t>({&q}, big_db, annotate, plus);
     const auto bases = ResolveBases<uint64_t>(q, pool);
     bench::AddInstrumentationOverheadRows(&report, [&] {
       benchmark::DoNotOptimize(
@@ -183,126 +166,8 @@ void EmitThroughputJson() {
   report.WriteToFile();
 }
 
-/// Intra-query thread scaling: replay-only throughput of the single
-/// biggest instance (|D| ≈ 300k) per backend × thread count — the
-/// threads×backend rows the parallel Rule 1/Rule 2 fan-out
-/// (core/parallel.h) targets. threads=1 is the bit-identical serial
-/// engine; shard-parallel runs are deterministic for any thread count.
-/// Note: scaling only shows on hosts with that many physical cores
-/// (hardware_concurrency is recorded on every row).
-void EmitThreadScalingRows(bench::JsonReport* report,
-                           const ConjunctiveQuery& q, const Database& db) {
-  const CountMonoid monoid;
-  const auto annotate = std::function<uint64_t(const Fact&)>(
-      [](const Fact&) -> uint64_t { return 1; });
-  const auto plus = [](uint64_t a, uint64_t b) { return a + b; };
-  const double hw =
-      static_cast<double>(std::thread::hardware_concurrency());
-
-  std::printf("  intra-query thread scaling (|D| = %zu, hw threads=%.0f):\n",
-              db.NumFacts(), hw);
-  for (StorageKind kind : {StorageKind::kFlat, StorageKind::kColumnar}) {
-    const AnnotationPool<uint64_t> pool =
-        AnnotateForQuerySet<uint64_t>({&q}, db, annotate, plus, kind);
-    const auto bases = ResolveBases<uint64_t>(q, pool);
-    for (size_t threads : {1, 2, 4, 8}) {
-      Evaluator::Options options;
-      options.storage = kind;
-      options.intra_query_threads = threads;
-      Evaluator evaluator(options);
-      auto plan = evaluator.GetPlan(q);
-      const double replays_per_sec = bench::MeasureRate([&] {
-        benchmark::DoNotOptimize(
-            evaluator.ReplayPlan(**plan, monoid, q, bases));
-      });
-      std::printf("    %-9s threads=%zu  %9.0f replays/sec\n",
-                  StorageKindName(kind), threads, replays_per_sec);
-      report->AddRow(
-          bench::JsonReport::ThreadedRow(
-              "paper_query/" + std::to_string(db.NumFacts()) + "/replay",
-              kind, threads),
-          {{"num_facts", static_cast<double>(db.NumFacts())},
-           {"threads", static_cast<double>(threads)},
-           {"hardware_threads", hw},
-           {"replays_per_sec", replays_per_sec}});
-    }
-  }
-}
-
-/// Adaptive-mode replay (Evaluator::Options::adaptive) against a small
-/// freshly measured grid of hand-tuned fixed configurations on the same
-/// instance. The "vs_best_fixed" metric is adaptive/best throughput —
-/// the acceptance band is >= ~0.9 (within 10% of the best fixed point)
-/// and never below 0.5 (never worse than 2x). Measured side by side in
-/// one process so the comparison is not polluted by machine drift
-/// between snapshot runs.
-void EmitAdaptiveRows(bench::JsonReport* report, const ConjunctiveQuery& q,
-                      const Database& db) {
-  const CountMonoid monoid;
-  const auto annotate = std::function<uint64_t(const Fact&)>(
-      [](const Fact&) -> uint64_t { return 1; });
-  const auto plus = [](uint64_t a, uint64_t b) { return a + b; };
-  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
-
-  struct Fixed {
-    StorageKind kind;
-    size_t threads;
-  };
-  std::vector<Fixed> grid = {{StorageKind::kColumnar, 1},
-                             {StorageKind::kFlat, 1}};
-  if (hw > 1) {
-    grid.push_back({StorageKind::kColumnar, std::min<size_t>(hw, 8)});
-    grid.push_back({StorageKind::kSharded, std::min<size_t>(hw, 8)});
-  }
-
-  const auto measure = [&](const Evaluator::Options& options) {
-    // The annotation pool adopts the evaluator's backend so the fixed
-    // configs are measured at their own best, not through a foreign
-    // base layout.
-    const AnnotationPool<uint64_t> pool = AnnotateForQuerySet<uint64_t>(
-        {&q}, db, annotate, plus, options.storage);
-    const auto bases = ResolveBases<uint64_t>(q, pool);
-    Evaluator evaluator(options);
-    auto plan = evaluator.GetPlan(q);
-    return bench::MeasureRate([&] {
-      benchmark::DoNotOptimize(
-          evaluator.ReplayPlan(**plan, monoid, q, bases));
-    });
-  };
-
-  std::printf("  adaptive vs hand-tuned fixed configs (|D| = %zu):\n",
-              db.NumFacts());
-  double best_fixed = 0.0;
-  for (const Fixed& fixed : grid) {
-    Evaluator::Options options;
-    options.storage = fixed.kind;
-    options.intra_query_threads = fixed.threads;
-    const double rate = measure(options);
-    std::printf("    fixed %-9s t%zu %9.1f replays/sec\n",
-                StorageKindName(fixed.kind), fixed.threads, rate);
-    best_fixed = std::max(best_fixed, rate);
-  }
-
-  Evaluator::Options adaptive_options;
-  adaptive_options.storage = StorageKind::kColumnar;
-  adaptive_options.adaptive = true;
-  const double adaptive_rate = measure(adaptive_options);
-  const double vs_best =
-      best_fixed > 0.0 ? adaptive_rate / best_fixed : 0.0;
-  std::printf("    adaptive          %9.1f replays/sec  (%.2fx of best "
-              "fixed)\n",
-              adaptive_rate, vs_best);
-  report->AddRow(
-      "paper_query/" + std::to_string(db.NumFacts()) + "/replay/adaptive",
-      {{"num_facts", static_cast<double>(db.NumFacts())},
-       {"hardware_threads", static_cast<double>(hw)},
-       {"replays_per_sec", adaptive_rate},
-       {"best_fixed_replays_per_sec", best_fixed},
-       {"vs_best_fixed", vs_best}});
-}
-
 /// SIMD A/B on identical rows: the batched Mix64 hash-fold kernel (the
-/// columnar backend's hottest loop) per available tier, plus the
+/// column store's hottest loop) per available tier, plus the
 /// end-to-end columnar replay under forced-scalar vs best dispatch.
 /// Kernel rows isolate the vectorization win from the probe- and
 /// copy-bound remainder of a replay.
@@ -345,10 +210,10 @@ void EmitSimdKernelRows(bench::JsonReport* report,
   const auto annotate = std::function<uint64_t(const Fact&)>(
       [](const Fact&) -> uint64_t { return 1; });
   const auto plus = [](uint64_t a, uint64_t b) { return a + b; };
-  const AnnotationPool<uint64_t> pool = AnnotateForQuerySet<uint64_t>(
-      {&q}, db, annotate, plus, StorageKind::kColumnar);
+  const AnnotationPool<uint64_t> pool =
+      AnnotateForQuerySet<uint64_t>({&q}, db, annotate, plus);
   const auto bases = ResolveBases<uint64_t>(q, pool);
-  Evaluator evaluator(StorageKind::kColumnar);
+  Evaluator evaluator;
   auto plan = evaluator.GetPlan(q);
   for (simd::Level level : {simd::Level::kScalar, best}) {
     simd::SetLevelForTesting(level);

@@ -20,17 +20,15 @@ namespace hierarq {
 namespace {
 
 /// Perf-trajectory rows (BENCH_dichotomy.json): the polynomial side of the
-/// dichotomy — Bag-Set Maximization on the hierarchical Q_h — per storage
-/// backend per scale; the bag-max monoid's vector values stress the
-/// backends' annotation payload handling, unlike the scalar monoids of the
-/// other emitters.
+/// dichotomy — Bag-Set Maximization on the hierarchical Q_h — per scale;
+/// the bag-max monoid's vector values stress annotation payload handling,
+/// unlike the scalar monoids of the other emitters.
 void EmitThroughputJson() {
   bench::JsonReport report("dichotomy", "BENCH_dichotomy.json");
   const ConjunctiveQuery q = MakeQh();
   constexpr size_t kBudget = 8;
 
-  std::printf("  hierarchical BagSetMax throughput (default storage=%s):\n",
-              bench::JsonReport::StorageBackend());
+  std::printf("  hierarchical BagSetMax throughput:\n");
   for (size_t tuples : {1000, 4000, 16000}) {
     Rng rng(75);
     DataGenOptions opts;
@@ -40,22 +38,18 @@ void EmitThroughputJson() {
     const double num_facts =
         static_cast<double>(inst.d.NumFacts() + inst.repair.NumFacts());
 
-    for (StorageKind kind : kAllStorageKinds) {
-      const double solves_per_sec = bench::MeasureRate([&] {
-        benchmark::DoNotOptimize(MaximizeBagSet(q, inst.d, inst.repair,
-                                                kBudget, /*costs=*/nullptr,
-                                                kind));
-      });
-      std::printf("    |D|+|Dr| = %-8.0f %-9s %9.0f solves/sec\n", num_facts,
-                  StorageKindName(kind), solves_per_sec);
-      report.AddRow(bench::JsonReport::StorageRow(
-                        "qh_budget8/" + std::to_string(
-                                            static_cast<size_t>(num_facts)),
-                        kind),
-                    {{"num_facts", num_facts},
-                     {"solves_per_sec", solves_per_sec},
-                     {"ops_per_sec", solves_per_sec * num_facts}});
-    }
+    const double solves_per_sec = bench::MeasureRate([&] {
+      benchmark::DoNotOptimize(
+          MaximizeBagSet(q, inst.d, inst.repair, kBudget));
+    });
+    std::printf("    |D|+|Dr| = %-8.0f %9.0f solves/sec\n", num_facts,
+                solves_per_sec);
+    report.AddRow(bench::JsonReport::LayoutRow(
+                      "qh_budget8/" +
+                      std::to_string(static_cast<size_t>(num_facts))),
+                  {{"num_facts", num_facts},
+                   {"solves_per_sec", solves_per_sec},
+                   {"ops_per_sec", solves_per_sec * num_facts}});
   }
   report.WriteToFile();
 }

@@ -56,8 +56,7 @@ void Report() {
 void EmitThroughputJson() {
   bench::JsonReport report("pqe", "BENCH_pqe.json");
   const ConjunctiveQuery q = MakePaperQuery();
-  std::printf("  steady-state PQE throughput (storage=%s):\n",
-              bench::JsonReport::StorageBackend());
+  std::printf("  steady-state PQE throughput:\n");
   Evaluator evaluator;
   for (size_t tuples : {10000, 30000, 100000}) {
     const TidDatabase db = MakeTid(q, tuples, 42);

@@ -16,15 +16,13 @@ namespace hierarq {
 namespace {
 
 /// Perf-trajectory rows (BENCH_resilience.json): steady-state resilience
-/// solves per second through an Evaluator, one row per storage backend per
-/// scale, so the flat-vs-columnar A/B covers the (ℕ∪{∞}, +, min)
-/// instantiation too.
+/// solves per second through an Evaluator, one row per scale for the
+/// (ℕ∪{∞}, +, min) instantiation.
 void EmitThroughputJson() {
   bench::JsonReport report("resilience", "BENCH_resilience.json");
   const ConjunctiveQuery q = MakePaperQuery();
 
-  std::printf("  steady-state resilience throughput (default storage=%s):\n",
-              bench::JsonReport::StorageBackend());
+  std::printf("  steady-state resilience throughput:\n");
   for (size_t tuples : {10000, 30000, 100000}) {
     Rng rng(18);
     DataGenOptions opts;
@@ -33,21 +31,19 @@ void EmitThroughputJson() {
     const Database db = RandomDatabaseForQuery(q, rng, opts);
     const auto [exo, endo] = SplitExoEndo(db, rng, 0.5);
 
-    for (StorageKind kind : kAllStorageKinds) {
-      Evaluator evaluator(kind);
-      const double solves_per_sec = bench::MeasureRate([&] {
-        benchmark::DoNotOptimize(ComputeResilience(evaluator, q, exo, endo));
-      });
-      std::printf("    |D| = %-8zu %-9s %9.0f solves/sec\n", db.NumFacts(),
-                  StorageKindName(kind), solves_per_sec);
-      report.AddRow(
-          bench::JsonReport::StorageRow(
-              "paper_query/" + std::to_string(db.NumFacts()), kind),
-          {{"num_facts", static_cast<double>(db.NumFacts())},
-           {"solves_per_sec", solves_per_sec},
-           {"ops_per_sec",
-            solves_per_sec * static_cast<double>(db.NumFacts())}});
-    }
+    Evaluator evaluator;
+    const double solves_per_sec = bench::MeasureRate([&] {
+      benchmark::DoNotOptimize(ComputeResilience(evaluator, q, exo, endo));
+    });
+    std::printf("    |D| = %-8zu %9.0f solves/sec\n", db.NumFacts(),
+                solves_per_sec);
+    report.AddRow(
+        bench::JsonReport::LayoutRow("paper_query/" +
+                                     std::to_string(db.NumFacts())),
+        {{"num_facts", static_cast<double>(db.NumFacts())},
+         {"solves_per_sec", solves_per_sec},
+         {"ops_per_sec",
+          solves_per_sec * static_cast<double>(db.NumFacts())}});
   }
   report.WriteToFile();
 }

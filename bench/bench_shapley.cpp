@@ -97,8 +97,7 @@ void Report() {
 void EmitThroughputJson() {
   bench::JsonReport report("shapley", "BENCH_shapley.json");
   const ConjunctiveQuery q = MakePaperQuery();
-  std::printf("  steady-state #Sat throughput (storage=%s):\n",
-              bench::JsonReport::StorageBackend());
+  std::printf("  steady-state #Sat throughput:\n");
   for (size_t endo : {16, 32, 64}) {
     const ShapleyInstance inst =
         MakeInstance(q, endo / 3 + 1, 1.0, 35 + endo);

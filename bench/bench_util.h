@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "hierarq/data/storage.h"
 #include "hierarq/obs/query_stats.h"
 #include "hierarq/obs/trace.h"
 #include "hierarq/util/simd.h"
@@ -59,23 +58,19 @@ inline void PrintNote(const std::string& note) {
 
 /// Collects named rows of numeric metrics and writes them as one JSON
 /// document, so successive PRs can diff measured throughput machine-to-
-/// machine (e.g. BENCH_algorithm1.json records ops/sec per storage
-/// backend). The format is flat on purpose:
-///   {"benchmark": "...", "storage": "...", "hardware_threads": N,
+/// machine (e.g. BENCH_algorithm1.json records ops/sec per scale). The
+/// format is flat on purpose:
+///   {"benchmark": "...", "storage": "columnar", "hardware_threads": N,
 ///    "rows": [{"name": "...", "simd": "...", "metric_a": 1.0, ...}, ...]}
-/// The top-level "storage" field is the build's *default* backend; rows
-/// measured under an explicit runtime backend append "/<backend>" to
-/// their name (see StorageRow) so flat-vs-columnar A/B pairs sit side by
-/// side in one document regardless of the build configuration. The
-/// top-level "hardware_threads" is std::thread::hardware_concurrency()
-/// — the first thing to check before comparing thread-scaling or
-/// adaptive rows across machines (a 1-core CI container cannot show a
-/// parallel speedup). Each row's "simd" string is the SIMD tier that was
-/// *actually dispatched* while the row was measured (simd::ActiveLevel
-/// at AddRow time), not the build-time or A/B-requested tier, so
-/// adaptive-mode rows are interpretable after the fact; bench_compare
-/// joins rows by name and only diffs numeric fields, so the tag never
-/// trips the regression tripwire.
+/// The top-level "storage" field names the relation layout (there is
+/// one). The top-level "hardware_threads" is
+/// std::thread::hardware_concurrency() — the first thing to check before
+/// comparing worker-scaling rows across machines (a 1-core CI container
+/// cannot show a parallel speedup). Each row's "simd" string is the SIMD
+/// tier that was *actually dispatched* while the row was measured
+/// (simd::ActiveLevel at AddRow time), not the build-time tier;
+/// bench_compare joins rows by name and only diffs numeric fields, so the
+/// tag never trips the regression tripwire.
 class JsonReport {
  public:
   JsonReport(std::string benchmark, std::string path)
@@ -98,7 +93,7 @@ class JsonReport {
       return false;
     }
     std::fprintf(f, "{\n  \"benchmark\": \"%s\",\n", benchmark_.c_str());
-    std::fprintf(f, "  \"storage\": \"%s\",\n", StorageBackend());
+    std::fprintf(f, "  \"storage\": \"%s\",\n", kLayout);
     std::fprintf(f, "  \"hardware_threads\": %u,\n",
                  std::thread::hardware_concurrency());
     std::fprintf(f, "  \"rows\": [");
@@ -117,26 +112,13 @@ class JsonReport {
     return true;
   }
 
-  /// The compile-time *default* storage backend of AnnotatedRelation,
-  /// recorded so runs under a non-standard build policy are
-  /// self-describing.
-  static const char* StorageBackend() {
-    return StorageKindName(kDefaultStorageKind);
-  }
+  /// The relation layout every row measures.
+  static constexpr const char* kLayout = "columnar";
 
-  /// Row name for a measurement taken under an explicit runtime backend:
-  /// "base/<backend>".
-  static std::string StorageRow(const std::string& base, StorageKind kind) {
-    return base + "/" + StorageKindName(kind);
-  }
-
-  /// Row name for a measurement under an explicit backend *and*
-  /// intra-query thread count: "base/<backend>/t<threads>". Rows named
-  /// this way should also record a numeric "threads" metric so
-  /// bench_compare can join thread-scaling sweeps across snapshots.
-  static std::string ThreadedRow(const std::string& base, StorageKind kind,
-                                 size_t threads) {
-    return StorageRow(base, kind) + "/t" + std::to_string(threads);
+  /// Row name "base/columnar": the per-scale rows keep the layout suffix
+  /// earlier snapshots gave them, so the tripwire still joins them.
+  static std::string LayoutRow(const std::string& base) {
+    return base + "/" + kLayout;
   }
 
  private:

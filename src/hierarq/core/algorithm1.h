@@ -23,14 +23,16 @@
 /// Hot-path mechanics: the position of a Rule 1 projection is precomputed
 /// in the plan (`EliminationStep::drop_pos`), every result relation is
 /// `Reserve`d to its Lemma 6.6 support bound before filling so growth
-/// rehashes never fire, and both rules run as storage-layer bulk
-/// operations (`AnnotatedRelation::ProjectDropInto` / `JoinUnionInto`) so
-/// each backend applies its layout-aware fast path — the columnar backend
-/// reads only a projection's surviving columns and builds Rule 2 results
-/// with compare-free inserts. Intermediate relations inherit the base
-/// relations' storage backend, keeping every step on a native path. The
-/// in-place overload runs over a caller-owned relations vector, which
-/// lets `Evaluator` (core/evaluator.h) reuse table buffers across runs.
+/// rehashes never fire, and both rules run as column-store bulk
+/// operations (`AnnotatedRelation::ProjectDropInto` / `JoinUnionInto`):
+/// a projection reads only its surviving columns, and Rule 2 results are
+/// built with compare-free inserts. `RunAlgorithm1InPlace` is the one batch
+/// step loop: `RunAlgorithm1`, `Evaluator` and the service layer all end in
+/// it, and it polls the deadline checkpoint, bumps `QueryStats`, and emits
+/// trace step events. (An incremental view keeps every intermediate, so
+/// its materialization runs its own pass; incremental/incremental_view.h.)
+/// It runs over a caller-owned relations vector, which lets `Evaluator`
+/// (core/evaluator.h) reuse table buffers across runs.
 ///
 /// The returned value is the annotation of the final nullary atom's empty
 /// tuple, or Zero() when its support is empty (an empty ⊕). Total work is
@@ -63,10 +65,6 @@ typename M::value_type RunAlgorithm1InPlace(
 
   HIERARQ_CHECK_EQ(relations.size(), plan.num_atoms());
 
-  // Intermediates adopt the base relations' backend so every step stays on
-  // a storage-native path (scratch slots may carry a stale kind from a
-  // previous run under a different engine option).
-  const StorageKind storage = relations.front().storage();
   const auto plus = [&monoid](const K& a, const K& b) {
     return monoid.Plus(a, b);
   };
@@ -85,7 +83,7 @@ typename M::value_type RunAlgorithm1InPlace(
     // relation, so this is the one safe place to abandon the run.
     CancellationCheckpoint();
     AnnotatedRelation<K>& result = relations[step.result_atom];
-    result.Reset(plan.vars_of(step.result_atom), storage);
+    result.Reset(plan.vars_of(step.result_atom));
 
     const uint64_t start_ns = tracer != nullptr ? obs::Tracer::NowNs() : 0;
     uint64_t rows_in = 0;
@@ -111,13 +109,12 @@ typename M::value_type RunAlgorithm1InPlace(
     if (query_stats != nullptr) {
       query_stats->RecordStep(
           step.rule == EliminationRule::kProjectVariable ? 1 : 2, rows_in,
-          result.size(), /*parallel=*/false);
+          result.size());
     }
     if (tracer != nullptr) {
       obs::TraceStepArgs args;
       args.step_index = step_index;
       args.rule = step.rule == EliminationRule::kProjectVariable ? 1 : 2;
-      args.backend = result.storage();
       args.simd = simd::ActiveLevel();
       args.rows_in = rows_in;
       args.rows_out = result.size();
@@ -156,22 +153,20 @@ typename M::value_type RunAlgorithm1(
 }
 
 /// Convenience wrapper: plans the query, annotates `facts` via `annotator`
-/// into the `storage` backend and runs Algorithm 1. Fails with
+/// and runs Algorithm 1. Fails with
 /// kNotHierarchical for non-hierarchical queries. Callers that evaluate
 /// repeatedly should hold an `Evaluator` (core/evaluator.h) instead, which
 /// caches the plan and reuses buffers.
 template <TwoMonoid M>
 Result<typename M::value_type> RunAlgorithm1OnQuery(
     const ConjunctiveQuery& query, const M& monoid, const Database& facts,
-    const std::function<typename M::value_type(const Fact&)>& annotator,
-    StorageKind storage = kDefaultStorageKind) {
+    const std::function<typename M::value_type(const Fact&)>& annotator) {
   using K = typename M::value_type;
   HIERARQ_ASSIGN_OR_RETURN(EliminationPlan plan,
                            EliminationPlan::Build(query));
   auto annotated = AnnotateForQuery<K>(
       query, facts, annotator,
-      [&monoid](const K& a, const K& b) { return monoid.Plus(a, b); },
-      storage);
+      [&monoid](const K& a, const K& b) { return monoid.Plus(a, b); });
   return RunAlgorithm1(plan, monoid, std::move(annotated));
 }
 

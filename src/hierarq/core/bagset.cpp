@@ -10,8 +10,7 @@ namespace hierarq {
 Result<BagSetMaxResult> MaximizeBagSet(const ConjunctiveQuery& query,
                                        const Database& d,
                                        const Database& repair, size_t budget,
-                                       const RepairCosts* costs,
-                                       StorageKind storage) {
+                                       const RepairCosts* costs) {
   const BagMaxMonoid monoid(budget);
 
   // ψ(D, Dr): facts of D get 1 (all-ones); facts of Dr \ D get ★ (or the
@@ -33,8 +32,7 @@ Result<BagSetMaxResult> MaximizeBagSet(const ConjunctiveQuery& query,
               }
             }
             return monoid.FromCost(cost);
-          },
-          storage)));
+          })));
 
   BagSetMaxResult out;
   out.saturated = BagMaxMonoid::Saturated(profile);
@@ -98,11 +96,10 @@ Result<std::vector<Fact>> ExtractOptimalRepair(const ConjunctiveQuery& query,
 }
 
 Result<uint64_t> BagSetCountHierarchical(const ConjunctiveQuery& query,
-                                         const Database& d,
-                                         StorageKind storage) {
+                                         const Database& d) {
   const CountMonoid monoid;
   return RunAlgorithm1OnQuery<CountMonoid>(
-      query, monoid, d, [](const Fact&) -> uint64_t { return 1; }, storage);
+      query, monoid, d, [](const Fact&) -> uint64_t { return 1; });
 }
 
 }  // namespace hierarq

@@ -24,7 +24,6 @@
 
 #include "hierarq/algebra/bagmax_monoid.h"
 #include "hierarq/data/database.h"
-#include "hierarq/data/storage.h"
 #include "hierarq/query/query.h"
 #include "hierarq/util/result.h"
 
@@ -50,14 +49,11 @@ struct BagSetMaxResult {
 
 /// Solves Bag-Set Maximization. Fails with kNotHierarchical for
 /// non-hierarchical queries (where the problem is NP-complete,
-/// Theorem 4.4). `storage` picks the relation backend the Algorithm 1 run
-/// stores its supports in (data/storage.h).
+/// Theorem 4.4).
 Result<BagSetMaxResult> MaximizeBagSet(const ConjunctiveQuery& query,
                                        const Database& d,
                                        const Database& repair, size_t budget,
-                                       const RepairCosts* costs = nullptr,
-                                       StorageKind storage =
-                                           kDefaultStorageKind);
+                                       const RepairCosts* costs = nullptr);
 
 /// Returns an optimal repair: a set of at most `budget` facts from
 /// `repair` \ `d` whose addition achieves the maximum multiplicity.
@@ -71,9 +67,7 @@ Result<std::vector<Fact>> ExtractOptimalRepair(const ConjunctiveQuery& query,
 /// semiring — valid for hierarchical queries (cross-checked against the
 /// general join engine in tests).
 Result<uint64_t> BagSetCountHierarchical(const ConjunctiveQuery& query,
-                                         const Database& d,
-                                         StorageKind storage =
-                                             kDefaultStorageKind);
+                                         const Database& d);
 
 }  // namespace hierarq
 

@@ -8,8 +8,8 @@
 /// deadline is only as good as the engine's willingness to stop: a replay
 /// over a 10M-fact database cannot be aborted from outside without
 /// leaving scratch state undefined. The contract here is *checkpointed*
-/// cancellation — every Algorithm 1 runner (serial, parallel, adaptive)
-/// calls `CancellationCheckpoint()` between elimination steps, the one
+/// cancellation — the Algorithm 1 step loop (core/algorithm1.h) calls
+/// `CancellationCheckpoint()` between elimination steps, the one
 /// place where all intermediate state is a well-formed relation and
 /// nothing is half-built. A triggered checkpoint throws `CancelledError`,
 /// which the *installing* layer (net/async_service.h, or
@@ -19,9 +19,9 @@
 ///
 /// Mechanics: a `CancelToken` is a deadline (on the `obs::Tracer::NowNs`
 /// timeline) plus a manual cancel flag. It is installed per *thread* with
-/// `ScopedCancel` — the step loops run on whichever thread executes the
-/// evaluation (a service pool worker for batch fan-out, the submitting
-/// thread for intra-parallel replays), so the installer wraps exactly the
+/// `ScopedCancel` — the step loop runs on whichever thread executes the
+/// evaluation (a service pool worker for batch fan-out, the caller's
+/// thread for a direct `Evaluator`), so the installer wraps exactly the
 /// evaluation call. With no token installed a checkpoint is one
 /// thread_local load and a branch: the default costs nothing measurable
 /// against a step that scans thousands of rows.

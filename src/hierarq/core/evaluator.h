@@ -25,16 +25,11 @@
 /// replays one query's plan against those shared annotations. An Evaluator
 /// is single-threaded by design (one per worker); plans are immutable
 /// after build, so workers share a thread-safe `PlanProvider`
-/// (service/shared_plan_cache.h) while each keeps private scratch.
-///
-/// One evaluation can additionally parallelize *inside* itself:
-/// `Options.intra_query_threads > 1` fans each large Rule 1/Rule 2 step
-/// out over hash shards (core/parallel.h) — the single-huge-replay
-/// regime, where across-query fan-out has nothing to fan out. Results are
-/// deterministic for any thread count and bit-identical to serial for
-/// exact monoids.
+/// (service/shared_plan_cache.h) while each keeps private scratch. Every
+/// evaluation ends in the one serial step loop, `RunAlgorithm1InPlace`
+/// (core/algorithm1.h); parallelism lives a level up, across queries
+/// (service/eval_service.h).
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <typeindex>
@@ -42,18 +37,14 @@
 #include <vector>
 
 #include "hierarq/algebra/two_monoid.h"
-#include "hierarq/core/adaptive.h"
 #include "hierarq/core/algorithm1.h"
-#include "hierarq/core/parallel.h"
 #include "hierarq/data/annotated.h"
 #include "hierarq/data/database.h"
-#include "hierarq/data/storage.h"
 #include "hierarq/obs/metrics.h"
 #include "hierarq/obs/trace.h"
 #include "hierarq/query/elimination.h"
 #include "hierarq/query/query.h"
 #include "hierarq/util/result.h"
-#include "hierarq/util/worker_pool.h"
 
 namespace hierarq {
 
@@ -106,13 +97,13 @@ struct AnnotationPool {
 /// distinct *missing* signature. Signatures already pooled — by an earlier
 /// call against the same database snapshot, e.g. through the service
 /// layer's generation-keyed annotation cache — are counted in
-/// `pool->reused` and not re-scanned. Pool relations live in the `storage`
-/// backend; replays adopt it via `AssignFrom`.
+/// `pool->reused` and not re-scanned. Replays copy pool relations out via
+/// `AssignFrom`.
 template <typename K, typename Combine>
 void AnnotateForQuerySetInto(
     const std::vector<const ConjunctiveQuery*>& queries,
     const Database& facts, const std::function<K(const Fact&)>& annotator,
-    Combine combine, StorageKind storage, AnnotationPool<K>* pool) {
+    Combine combine, AnnotationPool<K>* pool) {
   for (const ConjunctiveQuery* query : queries) {
     for (const Atom& atom : query->atoms()) {
       auto [it, inserted] =
@@ -123,7 +114,7 @@ void AnnotateForQuerySetInto(
       }
       ++pool->scans;
       AnnotatedRelation<K>& out = it->second;
-      out.Reset(atom.vars(), storage);
+      out.Reset(atom.vars());
       const Relation* relation = facts.FindRelation(atom.relation());
       if (relation != nullptr) {
         out.Reserve(relation->size());
@@ -141,9 +132,9 @@ template <typename K, typename Combine>
 AnnotationPool<K> AnnotateForQuerySet(
     const std::vector<const ConjunctiveQuery*>& queries,
     const Database& facts, const std::function<K(const Fact&)>& annotator,
-    Combine combine, StorageKind storage = kDefaultStorageKind) {
+    Combine combine) {
   AnnotationPool<K> pool;
-  AnnotateForQuerySetInto(queries, facts, annotator, combine, storage, &pool);
+  AnnotateForQuerySetInto(queries, facts, annotator, combine, &pool);
   return pool;
 }
 
@@ -235,76 +226,14 @@ class Evaluator : public PlanProvider {
     size_t evaluations = 0;      ///< Successful Evaluate/ReplayPlan calls.
   };
 
-  /// Engine configuration. Plain aggregate so call sites can name only
-  /// what they change.
-  struct Options {
-    /// Storage backend of the scratch relations (data/storage.h).
-    StorageKind storage = kDefaultStorageKind;
-    /// Intra-query parallelism for one evaluation's Rule 1/Rule 2 steps
-    /// (core/parallel.h): > 1 fans big steps out over hash shards; 1
-    /// keeps the bit-identical serial path. When no `intra_pool` is
-    /// supplied the evaluator owns a WorkerPool of this many threads.
-    size_t intra_query_threads = 1;
-    /// Steps whose input support is below this stay serial.
-    size_t parallel_min_rows = 4096;
-    /// Optional externally owned pool to fan out on (must outlive the
-    /// evaluator); EvalService lends its own pool this way so one huge
-    /// replay and batch fan-out share workers. Evaluate/ReplayPlan must
-    /// then be called from *outside* that pool's tasks.
-    WorkerPool* intra_pool = nullptr;
-    /// Adaptive per-step execution (core/adaptive.h): stats + a cost
-    /// model — refined by measured feedback keyed through the plan
-    /// cache — choose each elimination step's backend, thread count,
-    /// and serial/parallel cutoff. `storage` still governs base-atom
-    /// annotation; `intra_query_threads` (or, when it is 1, the detected
-    /// hardware concurrency) caps the per-step fan-out.
-    bool adaptive = false;
-  };
-
   Evaluator() = default;
-
-  /// An evaluator whose scratch relations live in the given storage
-  /// backend (data/storage.h) — the runtime half of the storage policy;
-  /// `hierarq_cli --storage=...` and the bench A/B emitters land here.
-  explicit Evaluator(StorageKind storage) : storage_(storage) {}
-
-  /// The full-options constructor; `plans` (optional, non-owning) plays
-  /// the same role as in the PlanProvider constructor below.
-  explicit Evaluator(const Options& options, PlanProvider* plans = nullptr)
-      : shared_plans_(plans), storage_(options.storage) {
-    size_t threads = options.intra_query_threads;
-    if (options.adaptive) {
-      AdaptiveController::Options ctl;
-      // An explicit thread count is both the pool size and the budget
-      // the controller plans against; with the default (1) the
-      // controller detects the hardware concurrency and the pool is
-      // sized to match, so --adaptive alone uses the whole machine.
-      if (threads > 1) {
-        ctl.hardware_threads = threads;
-      }
-      ctl.min_parallel_rows = options.parallel_min_rows;
-      adaptive_ = std::make_unique<AdaptiveController>(ctl);
-      threads = std::max(threads, adaptive_->hardware_threads());
-    }
-    if (threads > 1) {
-      if (options.intra_pool == nullptr) {
-        owned_pool_ = std::make_unique<WorkerPool>(threads);
-      }
-      par_.pool = options.intra_pool != nullptr ? options.intra_pool
-                                                : owned_pool_.get();
-      par_.threads = threads;
-      par_.min_rows = options.parallel_min_rows;
-    }
-  }
 
   /// An evaluator whose plans come from `plans` (non-owning; must outlive
   /// this evaluator) instead of the private cache — the per-worker
   /// configuration: N workers share one `SharedPlanCache` and keep private
   /// scratch. In this mode stats().plans_built / plan_cache_hits stay
   /// zero; the shared provider tracks them.
-  explicit Evaluator(PlanProvider* plans,
-                     StorageKind storage = kDefaultStorageKind)
-      : shared_plans_(plans), storage_(storage) {}
+  explicit Evaluator(PlanProvider* plans) : shared_plans_(plans) {}
 
   // The scratch tables and plan cache are identity, not value.
   Evaluator(const Evaluator&) = delete;
@@ -335,7 +264,7 @@ class Evaluator : public PlanProvider {
     };
     for (size_t i = 0; i < plan->num_base_atoms(); ++i) {
       const Atom& atom = query.atoms()[i];
-      relations[i].Reset(atom.vars(), storage_);
+      relations[i].Reset(atom.vars());
       const Relation* relation = facts.FindRelation(atom.relation());
       if (relation != nullptr) {
         relations[i].Reserve(relation->size());
@@ -364,19 +293,9 @@ class Evaluator : public PlanProvider {
     using K = typename M::value_type;
     HIERARQ_CHECK_EQ(bases.size(), plan.num_base_atoms());
     std::vector<AnnotatedRelation<K>>& relations = ScratchForPlan<K>(plan);
-    const auto copy_base = [&](size_t i) {
+    for (size_t i = 0; i < plan.num_base_atoms(); ++i) {
       HIERARQ_CHECK(bases[i] != nullptr);
       relations[i].AssignFrom(*bases[i], query.atoms()[i].vars());
-    };
-    if (par_.enabled()) {
-      // Distinct scratch targets, read-only shared sources: the copies
-      // are independent, so spread them over the pool too.
-      par_.pool->ParallelFor(plan.num_base_atoms(),
-                             [&](size_t, size_t i) { copy_base(i); });
-    } else {
-      for (size_t i = 0; i < plan.num_base_atoms(); ++i) {
-        copy_base(i);
-      }
     }
     ++stats_.evaluations;
     return Run(plan, monoid, relations);
@@ -396,23 +315,13 @@ class Evaluator : public PlanProvider {
     using K = typename M::value_type;
     HIERARQ_CHECK_EQ(bases.size(), plan.num_base_atoms());
     std::vector<AnnotatedRelation<K>>& relations = ScratchForPlan<K>(plan);
-    const auto fill_base = [&](size_t i) {
+    for (size_t i = 0; i < plan.num_base_atoms(); ++i) {
       HIERARQ_CHECK(bases[i].shared != nullptr);
       if (bases[i].movable != nullptr) {
         relations[i].AdoptFrom(std::move(*bases[i].movable),
                                query.atoms()[i].vars());
       } else {
         relations[i].AssignFrom(*bases[i].shared, query.atoms()[i].vars());
-      }
-    };
-    if (par_.enabled()) {
-      // Movable entries are exclusive to this query and copies only read
-      // their shared source, so the per-atom fills are independent.
-      par_.pool->ParallelFor(plan.num_base_atoms(),
-                             [&](size_t, size_t i) { fill_base(i); });
-    } else {
-      for (size_t i = 0; i < plan.num_base_atoms(); ++i) {
-        fill_base(i);
       }
     }
     ++stats_.evaluations;
@@ -432,22 +341,6 @@ class Evaluator : public PlanProvider {
 
   const Stats& stats() const { return stats_; }
 
-  /// The storage backend this evaluator's scratch relations use. Replays
-  /// (`ReplayPlan`) adopt the annotation pool's backend instead — the pool
-  /// owner picks the layout once for the whole batch.
-  StorageKind storage() const { return storage_; }
-
-  /// The intra-query parallel configuration (disabled unless the Options
-  /// constructor enabled it).
-  const IntraQueryParallel& intra_query_parallel() const { return par_; }
-
-  /// The adaptive controller when Options.adaptive enabled one, nullptr
-  /// otherwise — test/introspection surface (per-step feedback, serial
-  /// vs parallel step counts).
-  const AdaptiveController* adaptive_controller() const {
-    return adaptive_.get();
-  }
-
   /// Number of distinct queries with a cached plan (always 0 when plans
   /// are delegated to a shared provider).
   size_t num_cached_plans() const { return plans_.size(); }
@@ -457,11 +350,10 @@ class Evaluator : public PlanProvider {
   void ClearCache();
 
  private:
-  /// The single exit of Evaluate and every ReplayPlan overload: adaptive
-  /// per-step execution when the controller exists, the fixed
-  /// configuration otherwise. Also the single observability point — one
-  /// global counter bump and, when a tracer is installed, one enclosing
-  /// span around the step events the runners emit.
+  /// The single exit of Evaluate and every ReplayPlan overload, and the
+  /// single observability point — one global counter bump and, when a
+  /// tracer is installed, one enclosing span around the step events the
+  /// step loop emits.
   template <TwoMonoid M>
   typename M::value_type Run(
       const EliminationPlan& plan, const M& monoid,
@@ -478,10 +370,7 @@ class Evaluator : public PlanProvider {
     const uint64_t start_ns =
         query_stats != nullptr ? obs::Tracer::NowNs() : 0;
     typename M::value_type value =
-        adaptive_ != nullptr
-            ? RunAlgorithm1InPlaceAdaptive(plan, monoid, relations, par_,
-                                           adaptive_.get())
-            : RunAlgorithm1InPlaceParallel(plan, monoid, relations, par_);
+        RunAlgorithm1InPlace(plan, monoid, relations);
     if (query_stats != nullptr) {
       query_stats->exec_ns += obs::Tracer::NowNs() - start_ns;
     }
@@ -524,14 +413,6 @@ class Evaluator : public PlanProvider {
   }
 
   PlanProvider* shared_plans_ = nullptr;  // Non-owning; nullptr = private.
-  StorageKind storage_ = kDefaultStorageKind;
-  // Intra-query parallel execution (core/parallel.h). The pool is either
-  // owned (Options with no intra_pool) or borrowed; par_.pool aliases it.
-  std::unique_ptr<WorkerPool> owned_pool_;
-  IntraQueryParallel par_;
-  // Per-evaluator adaptive controller (Options.adaptive); single-threaded
-  // like the scratch tables it sits beside.
-  std::unique_ptr<AdaptiveController> adaptive_;
   // unique_ptr values keep plan addresses stable across cache rehashes.
   std::unordered_map<std::string, std::unique_ptr<EliminationPlan>> plans_;
   std::unordered_map<std::type_index, std::unique_ptr<ScratchBase>> scratch_;

@@ -12,139 +12,68 @@
 /// order (atom term order, duplicate variables, and constants are resolved
 /// once, when the base database is annotated).
 ///
-/// `AnnotatedRelation` is a facade over five interchangeable storage
-/// backends (data/storage.h), selected **at runtime** per relation:
-/// the std::unordered_map baseline, the tuple-keyed open-addressing
-/// `FlatMap` (util/flat_map.h), the column-major `ColumnarStore`
-/// (data/columnar.h), and the hash-sharded `ShardedStore` /
-/// `ShardedColumnarStore` pair (data/sharded.h, the substrates of
-/// intra-query parallel steps — core/parallel.h). All backends implement
-/// the same narrow interface —
+/// `AnnotatedRelation` stores its support in a `ColumnarStore`
+/// (data/columnar.h): one value vector per schema position, one
+/// annotation vector, and a row-id hash index. Its interface is
 /// `Find` / `FindOrInsert` / `Merge` / `Erase` / `Reset` / `AssignFrom`
-/// plus the Algorithm 1 bulk operations `ProjectDropInto` (Rule 1) and
-/// `JoinUnionInto` (Rule 2) — and are proven interchangeable by the
-/// cross-backend differential suite (tests/storage_differential_test.cpp).
+/// plus the two Algorithm 1 bulk operations, `ProjectDropInto` (Rule 1)
+/// and `JoinUnionInto` (Rule 2). The oracle differential suite
+/// (tests/storage_differential_test.cpp) checks every solver built on it
+/// against the engine/ reference implementations.
 
 #include <functional>
-#include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "hierarq/data/columnar.h"
 #include "hierarq/data/database.h"
-#include "hierarq/data/sharded.h"
-#include "hierarq/data/storage.h"
 #include "hierarq/data/tuple.h"
 #include "hierarq/query/query.h"
 #include "hierarq/query/var_set.h"
-#include "hierarq/util/flat_map.h"
 #include "hierarq/util/logging.h"
 #include "hierarq/util/result.h"
 
 namespace hierarq {
 
-/// Gives std::unordered_map the FlatMap surface, so the baseline backend
-/// plugs into AnnotatedRelation's dispatch like the other two layouts.
-template <typename Key, typename Mapped, typename Hash>
-class StdMapAdapter {
- public:
-  using Map = std::unordered_map<Key, Mapped, Hash>;
-  using const_iterator = typename Map::const_iterator;
-
-  size_t size() const { return map_.size(); }
-  bool empty() const { return map_.empty(); }
-  const_iterator begin() const { return map_.begin(); }
-  const_iterator end() const { return map_.end(); }
-
-  const Mapped* Find(const Key& key) const {
-    auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second;
-  }
-  bool Contains(const Key& key) const { return Find(key) != nullptr; }
-
-  std::pair<Mapped*, bool> FindOrInsert(const Key& key) {
-    auto [it, inserted] = map_.try_emplace(key);
-    return {&it->second, inserted};
-  }
-
-  void Set(const Key& key, Mapped value) { map_[key] = std::move(value); }
-
-  bool Erase(const Key& key) { return map_.erase(key) > 0; }
-
-  template <typename Combine>
-  void Merge(const Key& key, Mapped value, Combine combine) {
-    auto [slot, inserted] = FindOrInsert(key);
-    if (inserted) {
-      *slot = std::move(value);
-    } else {
-      *slot = combine(*slot, value);
-    }
-  }
-
-  void Reserve(size_t count) { map_.reserve(count); }
-  void Clear() { map_.clear(); }
-
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    for (const auto& [key, value] : map_) {
-      fn(key, value);
-    }
-  }
-
- private:
-  Map map_;
-};
-
-/// A relation annotated with values from K, keyed by tuples over `schema`,
-/// stored in the backend named by `storage()`.
+/// A relation annotated with values from K, keyed by tuples over `schema`.
 template <typename K>
 class AnnotatedRelation {
  public:
   AnnotatedRelation() : AnnotatedRelation(VarSet{}) {}
-  explicit AnnotatedRelation(VarSet schema,
-                             StorageKind storage = kDefaultStorageKind)
-      : schema_(std::move(schema)), storage_(storage) {
-    ResetColumnarArity();
-  }
+  explicit AnnotatedRelation(VarSet schema)
+      : schema_(std::move(schema)), store_(schema_.size()) {}
 
   const VarSet& schema() const { return schema_; }
-  StorageKind storage() const { return storage_; }
 
   /// |supp(R)| — the number of stored (non-zero) facts.
-  size_t size() const {
-    return Visit([](const auto& store) { return store.size(); });
-  }
-  bool empty() const { return size() == 0; }
+  size_t size() const { return store_.size(); }
+  bool empty() const { return store_.empty(); }
 
   /// Sets the annotation of `key` (inserting or overwriting).
   void Set(const Tuple& key, K value) {
     HIERARQ_CHECK_EQ(key.size(), schema_.size());
-    Visit([&](auto& store) { store.Set(key, std::move(value)); });
+    store_.Set(key, std::move(value));
   }
 
   /// Returns the annotation of `key`, or nullptr when `key` is not in the
   /// support (i.e. its annotation is the monoid zero).
-  const K* Find(const Tuple& key) const {
-    return Visit([&](const auto& store) { return store.Find(key); });
-  }
+  const K* Find(const Tuple& key) const { return store_.Find(key); }
 
   bool Contains(const Tuple& key) const { return Find(key) != nullptr; }
 
   /// Finds the annotation of `key`, inserting a value-initialized slot when
   /// absent; the bool is true iff the slot was just inserted (the caller
-  /// must then assign a real annotation). One probe sequence total on every
-  /// backend.
+  /// must then assign a real annotation). One probe sequence total.
   std::pair<K*, bool> FindOrInsert(const Tuple& key) {
-    return Visit([&](auto& store) { return store.FindOrInsert(key); });
+    return store_.FindOrInsert(key);
   }
 
   /// Inserts `value` at `key`, or combines it with the existing annotation
   /// via `combine(existing, value)`. Used by annotation (⊕-merging
-  /// duplicate keys) and by Algorithm 1's Rule 1.
+  /// duplicate keys).
   template <typename Combine>
   void Merge(const Tuple& key, K value, Combine combine) {
-    Visit([&](auto& store) { store.Merge(key, std::move(value), combine); });
+    store_.Merge(key, std::move(value), combine);
   }
 
   /// Removes `key` from the support if present; true iff removed. The
@@ -153,75 +82,39 @@ class AnnotatedRelation {
   /// whole relations via `Clear`.
   bool Erase(const Tuple& key) {
     HIERARQ_CHECK_EQ(key.size(), schema_.size());
-    return Visit([&](auto& store) { return store.Erase(key); });
+    return store_.Erase(key);
   }
 
-  /// Pre-sizes the backend so `count` insertions proceed without
-  /// rehashing.
-  void Reserve(size_t count) {
-    Visit([&](auto& store) { store.Reserve(count); });
-  }
+  /// Pre-sizes the store so `count` insertions proceed without growth.
+  void Reserve(size_t count) { store_.Reserve(count); }
 
   /// Releases all entries (frees intermediate relations eagerly). The
-  /// backend keeps its buffers, so a relation reused across evaluations
+  /// store keeps its buffers, so a relation reused across evaluations
   /// (core/evaluator.h) reaches steady state allocation-free.
-  void Clear() {
-    Visit([](auto& store) { store.Clear(); });
-  }
-
-  /// Switches the storage backend, dropping all entries when the kind
-  /// actually changes (entries never migrate implicitly — callers switch
-  /// before filling).
-  void SetStorage(StorageKind storage) {
-    if (storage_ == storage) {
-      return;
-    }
-    Clear();
-    storage_ = storage;
-    ResetColumnarArity();
-  }
+  void Clear() { store_.Clear(); }
 
   /// Re-targets this relation at `schema`, dropping all entries but
-  /// keeping the backend's buffers — the buffer-reuse entry point.
+  /// keeping the store's buffers — the buffer-reuse entry point.
   void Reset(const VarSet& schema) {
     schema_ = schema;
-    if (storage_ == StorageKind::kColumnar ||
-        storage_ == StorageKind::kShardedColumnar) {
-      ResetColumnarArity();
-    } else {
-      Clear();
-    }
-  }
-
-  /// Reset with an explicit backend choice — how `Evaluator` applies its
-  /// engine-level storage option to scratch relations.
-  void Reset(const VarSet& schema, StorageKind storage) {
-    SetStorage(storage);
-    Reset(schema);
+    store_.Reset(schema_.size());
   }
 
   /// Replaces this relation's contents with a copy of `other`'s entries,
-  /// re-labelled with `schema` (same arity as `other`'s schema), adopting
-  /// `other`'s storage backend. This is the replay side of shared
-  /// annotation (service/eval_service.h): one annotated base relation
-  /// serves every query atom with the same annotation signature, and each
-  /// replay copies it out under its own query's variable names. Copying
-  /// the backend wholesale is a flat memcpy-like assignment — no per-entry
-  /// rehash — where re-annotating would re-match and re-hash every base
-  /// tuple.
+  /// re-labelled with `schema` (same arity as `other`'s schema). This is
+  /// the replay side of shared annotation (service/eval_service.h): one
+  /// annotated base relation serves every query atom with the same
+  /// annotation signature, and each replay copies it out under its own
+  /// query's variable names. The copy is a wholesale vector assignment —
+  /// no per-entry rehash — where re-annotating would re-match and re-hash
+  /// every base tuple.
   void AssignFrom(const AnnotatedRelation& other, const VarSet& schema) {
     HIERARQ_CHECK_EQ(schema.size(), other.schema_.size());
     schema_ = schema;
-    if (storage_ != other.storage_) {
-      Clear();  // Drop the outgoing backend's entries before switching.
-      storage_ = other.storage_;
-    }
-    other.Visit([&](const auto& store) {
-      StoreOf<std::remove_cvref_t<decltype(store)>>() = store;
-    });
+    store_ = other.store_;
   }
 
-  /// Move flavour of `AssignFrom`: steals `other`'s backend wholesale
+  /// Move flavour of `AssignFrom`: steals `other`'s store wholesale
   /// (leaving it empty) instead of copying every entry. The zero-copy
   /// replay path of the service layer — when a shared annotation-pool
   /// entry serves exactly one query in a batch group, the worker adopts it
@@ -232,54 +125,30 @@ class AnnotatedRelation {
     schema_ = schema;
   }
 
-  /// Visits every stored fact as (key, annotation). Visit order is
-  /// backend-defined (hash-layout order for the map backends, insertion
-  /// order for columnar) — callers must not rely on it beyond "each fact
-  /// exactly once".
+  /// Visits every stored fact as (key, annotation), in row order. Callers
+  /// must not rely on the order beyond "each fact exactly once": erases
+  /// swap rows.
   template <typename Fn>
   void ForEach(Fn fn) const {
-    Visit([&](const auto& store) { store.ForEach(fn); });
+    store_.ForEach(fn);
   }
 
   /// Algorithm 1 Rule 1: ⊕-projects schema position `drop_pos` out of
   /// this relation into `out` (already Reset to the surviving schema).
-  /// Columnar-to-columnar runs the layout-aware native (only surviving
-  /// columns are read); any other backend pairing takes the generic
-  /// iterate-and-merge path.
+  /// Only the surviving columns are read.
   template <typename Plus>
   void ProjectDropInto(size_t drop_pos, Plus plus,
                        AnnotatedRelation* out) const {
     HIERARQ_CHECK_LT(drop_pos, schema_.size());
     HIERARQ_CHECK_EQ(out->schema_.size() + 1, schema_.size());
-    if (storage_ == StorageKind::kColumnar &&
-        out->storage_ == StorageKind::kColumnar) {
-      columnar_.ProjectDropInto(drop_pos, plus, &out->columnar_);
-      return;
-    }
-    out->Reserve(size());
-    Tuple projected;
-    ForEach([&](const Tuple& key, const K& value) {
-      projected.clear();
-      for (size_t i = 0; i < key.size(); ++i) {
-        if (i != drop_pos) {
-          projected.push_back(key[i]);
-        }
-      }
-      auto [slot, inserted] = out->FindOrInsert(projected);
-      if (inserted) {
-        *slot = value;
-      } else {
-        *slot = plus(*slot, value);
-      }
-    });
+    store_.ProjectDropInto(drop_pos, plus, &out->store_);
   }
 
   /// Algorithm 1 Rule 2: out(x) = left(x) ⊗ right(x) over the *union* of
   /// supports. A 2-monoid guarantees only 0 ⊗ 0 = 0 (Definition 5.6), not
   /// annihilation, so one-sided facts contribute `times(value, zero)` /
   /// `times(zero, value)`; only absent-absent pairs are skipped
-  /// (Lemma 6.6). All-columnar operands run the native with compare-free
-  /// result indexing; otherwise the generic union loop runs.
+  /// (Lemma 6.6). The result index is built with compare-free inserts.
   template <typename Times>
   static void JoinUnionInto(const AnnotatedRelation& left,
                             const AnnotatedRelation& right, Times times,
@@ -287,141 +156,13 @@ class AnnotatedRelation {
     HIERARQ_CHECK(left.schema_ == right.schema_)
         << "Rule 2 requires equal schemas";
     HIERARQ_CHECK(out->schema_ == left.schema_);
-    if (left.storage_ == StorageKind::kColumnar &&
-        right.storage_ == StorageKind::kColumnar &&
-        out->storage_ == StorageKind::kColumnar) {
-      ColumnarStore<K>::JoinUnionInto(left.columnar_, right.columnar_, times,
-                                      zero, &out->columnar_);
-      return;
-    }
-    out->Reserve(left.size() + right.size());  // Lemma 6.6 bound.
-    left.ForEach([&](const Tuple& key, const K& value) {
-      const K* other = right.Find(key);
-      out->Set(key, times(value, other != nullptr ? *other : zero));
-    });
-    right.ForEach([&](const Tuple& key, const K& value) {
-      // Keys shared with the left leg are already final; the combined
-      // find-or-insert detects them in the same probe sequence an insert
-      // would need.
-      auto [slot, inserted] = out->FindOrInsert(key);
-      if (inserted) {
-        *slot = times(zero, value);
-      }
-    });
-  }
-
-  /// Direct access to the active backend for layout-aware callers (the
-  /// intra-query parallel runner, core/parallel.h, scans rows and owns
-  /// shards through these). CHECKs that the named backend is the active
-  /// one.
-  const FlatMap<Tuple, K, TupleHash>& flat_store() const {
-    HIERARQ_CHECK(storage_ == StorageKind::kFlat);
-    return flat_;
-  }
-  const ColumnarStore<K>& columnar_store() const {
-    HIERARQ_CHECK(storage_ == StorageKind::kColumnar);
-    return columnar_;
-  }
-  const ShardedStore<K>& sharded_store() const {
-    HIERARQ_CHECK(storage_ == StorageKind::kSharded);
-    return sharded_;
-  }
-  ShardedStore<K>& mutable_sharded_store() {
-    HIERARQ_CHECK(storage_ == StorageKind::kSharded);
-    return sharded_;
-  }
-  const ShardedColumnarStore<K>& sharded_columnar_store() const {
-    HIERARQ_CHECK(storage_ == StorageKind::kShardedColumnar);
-    return sharded_columnar_;
-  }
-  ShardedColumnarStore<K>& mutable_sharded_columnar_store() {
-    HIERARQ_CHECK(storage_ == StorageKind::kShardedColumnar);
-    return sharded_columnar_;
+    ColumnarStore<K>::JoinUnionInto(left.store_, right.store_, times, zero,
+                                    &out->store_);
   }
 
  private:
-  using BaselineStore = StdMapAdapter<Tuple, K, TupleHash>;
-  using FlatStore = FlatMap<Tuple, K, TupleHash>;
-
-  /// Applies `fn` to the active backend. The single dispatch point: a new
-  /// StorageKind that misses a case here dies loudly on first use instead
-  /// of silently returning empty results.
-  template <typename Fn>
-  decltype(auto) Visit(Fn fn) {
-    switch (storage_) {
-      case StorageKind::kBaseline:
-        return fn(baseline_);
-      case StorageKind::kFlat:
-        return fn(flat_);
-      case StorageKind::kColumnar:
-        return fn(columnar_);
-      case StorageKind::kSharded:
-        return fn(sharded_);
-      case StorageKind::kShardedColumnar:
-        return fn(sharded_columnar_);
-    }
-    HIERARQ_CHECK(false) << "unhandled StorageKind "
-                         << static_cast<int>(storage_);
-    return fn(flat_);  // Unreachable; satisfies the return type.
-  }
-  template <typename Fn>
-  decltype(auto) Visit(Fn fn) const {
-    switch (storage_) {
-      case StorageKind::kBaseline:
-        return fn(baseline_);
-      case StorageKind::kFlat:
-        return fn(flat_);
-      case StorageKind::kColumnar:
-        return fn(columnar_);
-      case StorageKind::kSharded:
-        return fn(sharded_);
-      case StorageKind::kShardedColumnar:
-        return fn(sharded_columnar_);
-    }
-    HIERARQ_CHECK(false) << "unhandled StorageKind "
-                         << static_cast<int>(storage_);
-    return fn(flat_);  // Unreachable; satisfies the return type.
-  }
-
-  /// The member of the given backend type — lets AssignFrom copy the
-  /// source's active store into the matching slot generically.
-  template <typename Store>
-  Store& StoreOf() {
-    if constexpr (std::is_same_v<Store, BaselineStore>) {
-      return baseline_;
-    } else if constexpr (std::is_same_v<Store, FlatStore>) {
-      return flat_;
-    } else if constexpr (std::is_same_v<Store, ShardedStore<K>>) {
-      return sharded_;
-    } else if constexpr (std::is_same_v<Store, ShardedColumnarStore<K>>) {
-      return sharded_columnar_;
-    } else {
-      static_assert(std::is_same_v<Store, ColumnarStore<K>>);
-      return columnar_;
-    }
-  }
-
-  /// The columnar layouts are arity-typed: (re)target them at the current
-  /// schema width whenever one becomes (or stays) the active backend.
-  void ResetColumnarArity() {
-    if (storage_ == StorageKind::kColumnar) {
-      columnar_.Reset(schema_.size());
-    } else if (storage_ == StorageKind::kShardedColumnar) {
-      sharded_columnar_.Reset(schema_.size());
-    }
-  }
-
   VarSet schema_;
-  StorageKind storage_ = kDefaultStorageKind;
-  // Exactly one backend is active (named by storage_); the others stay
-  // empty. Keeping all five as members makes backend switches and
-  // AssignFrom adoption trivial at the cost of a few empty shells per
-  // relation — relations are few (2x query atoms), so this is noise.
-  BaselineStore baseline_;
-  FlatStore flat_;
-  ColumnarStore<K> columnar_;
-  ShardedStore<K> sharded_;
-  ShardedColumnarStore<K> sharded_columnar_;
+  ColumnarStore<K> store_;
 };
 
 /// A K-annotated database instance for a query: one annotated relation per
@@ -504,19 +245,18 @@ void AnnotateAtom(const Atom& atom, const Relation& relation,
 
 /// Builds the K-annotated database for `query` from the facts of `facts`,
 /// annotating each fact f with `annotator(f)` and ⊕-combining duplicate
-/// keys with `combine`. Relations are stored in the `storage` backend.
+/// keys with `combine`.
 ///
 /// Atoms whose relation is absent from `facts` produce empty (all-zero)
 /// annotated relations, which is the correct semantics.
 template <typename K, typename Combine>
 AnnotatedDatabase<K> AnnotateForQuery(
     const ConjunctiveQuery& query, const Database& facts,
-    const std::function<K(const Fact&)>& annotator, Combine combine,
-    StorageKind storage = kDefaultStorageKind) {
+    const std::function<K(const Fact&)>& annotator, Combine combine) {
   AnnotatedDatabase<K> out;
   out.relations.reserve(query.num_atoms());
   for (const Atom& atom : query.atoms()) {
-    AnnotatedRelation<K> annotated(atom.vars(), storage);
+    AnnotatedRelation<K> annotated(atom.vars());
     const Relation* relation = facts.FindRelation(atom.relation());
     if (relation != nullptr) {
       annotated.Reserve(relation->size());
@@ -535,11 +275,10 @@ AnnotatedDatabase<K> AnnotateForQuery(
 template <typename K>
 AnnotatedDatabase<K> AnnotateForQuery(
     const ConjunctiveQuery& query, const Database& facts,
-    const std::function<K(const Fact&)>& annotator,
-    StorageKind storage = kDefaultStorageKind) {
+    const std::function<K(const Fact&)>& annotator) {
   return AnnotateForQuery<K>(
       query, facts, annotator,
-      [](const K&, const K& fresh) { return fresh; }, storage);
+      [](const K&, const K& fresh) { return fresh; });
 }
 
 }  // namespace hierarq

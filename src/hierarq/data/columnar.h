@@ -4,11 +4,12 @@
 /// \file columnar.h
 /// \brief `ColumnarStore` — column-major storage for annotated relations.
 ///
-/// The flat backend (util/flat_map.h) keys its table by whole tuples, so
-/// Rule 1's drop-one-variable projection re-hashes and re-compares every
-/// surviving position of every fact *through the tuple*, touching bytes
-/// the projection is about to discard. `ColumnarStore` decomposes a
-/// relation by schema position instead:
+/// The one store behind every `AnnotatedRelation` (data/annotated.h).
+/// A tuple-keyed hash table would make Rule 1's drop-one-variable
+/// projection re-hash and re-compare every surviving position of every
+/// fact *through the tuple*, touching bytes the projection is about to
+/// discard. `ColumnarStore` decomposes a relation by schema position
+/// instead:
 ///
 ///   * one dense `std::vector<Value>` per schema position (row r's key is
 ///     `columns_[0][r], ..., columns_[arity-1][r]`);
@@ -45,8 +46,8 @@
 ///     compare-free inserts (output keys are unique by Lemma 6.6's
 ///     union-of-supports argument, so equality checks are unnecessary).
 ///
-/// Pointer validity matches FlatMap: pointers returned by
-/// `Find`/`FindOrInsert` are invalidated by the next mutating call.
+/// Pointers returned by `Find`/`FindOrInsert` are invalidated by the next
+/// mutating call.
 
 #include <algorithm>
 #include <cstddef>
@@ -91,7 +92,7 @@ class ColumnarStore {
 
   /// Drops all rows and re-targets the store at `arity` positions. Kept
   /// columns and the index keep their allocations (buffer-reuse entry
-  /// point, like FlatMap::Clear).
+  /// point).
   void Reset(size_t arity) {
     Clear();
     columns_.resize(arity);
@@ -355,72 +356,6 @@ class ColumnarStore {
     simd::PrefetchRead(rows_.data() + index);
   }
 
-  /// Read-only access to one column's dense value vector, and to one
-  /// row's annotation — the surface the intra-query parallel runner
-  /// (core/parallel.h) scans rows through without materializing tuples.
-  const std::vector<Value>& column(size_t c) const { return columns_[c]; }
-  const K& row_value(uint32_t row) const { return values_[row].value; }
-
-  /// Public probe with a caller-supplied hash and equality: returns the
-  /// matching row id or `kNoRowId`. The parallel Rule 2 probes one side's
-  /// rows against the other store this way, with batch-precomputed
-  /// hashes.
-  template <typename Eq>
-  uint32_t FindRowHashed(uint64_t hash, Eq eq) const {
-    return FindRow(hash, eq);
-  }
-  static constexpr uint32_t kNoRowId = ~uint32_t{0};
-
-  /// `Find` with the key's hash precomputed (`hash` must equal
-  /// `HashRange` over `key`): the cross-backend probe the parallel Rule 2
-  /// uses when the probed side is columnar.
-  const K* FindWithHash(uint64_t hash, const Tuple& key) const {
-    HIERARQ_CHECK_EQ(key.size(), arity());
-    const uint32_t row =
-        FindRow(hash, [&](uint32_t r) { return RowEquals(r, key); });
-    return row == kNoRow ? nullptr : &values_[row].value;
-  }
-
-  /// `FindOrInsert` with the key's hash precomputed (`hash` must equal
-  /// `HashRange` over `key`) — the per-shard insert path of
-  /// `ShardedColumnarStore`, whose callers route by an already-computed
-  /// hash and must not fold it a second time.
-  std::pair<K*, bool> FindOrInsertHashed(uint64_t hash, const Tuple& key) {
-    HIERARQ_CHECK_EQ(key.size(), arity());
-    auto [row, inserted] = FindOrInsertRow(
-        hash, [&](uint32_t r) { return RowEquals(r, key); },
-        [&] {
-          for (size_t c = 0; c < columns_.size(); ++c) {
-            columns_[c].push_back(key[c]);
-          }
-          values_.emplace_back();
-        });
-    return {&values_[row].value, inserted};
-  }
-
-  /// `Merge` with the key's hash precomputed (same contract as
-  /// `FindOrInsertHashed`).
-  template <typename Combine>
-  void MergeHashed(uint64_t hash, const Tuple& key, K value, Combine combine) {
-    auto [slot, inserted] = FindOrInsertHashed(hash, key);
-    if (inserted) {
-      *slot = std::move(value);
-    } else {
-      *slot = combine(*slot, value);
-    }
-  }
-
-  /// Batch per-row hashes over selected columns (`HashRange` over those
-  /// positions, vector kernels) into `*hashes` — the public face of the
-  /// internal fold, reused by the parallel Rule 1 partitioner.
-  void HashRowsInto(const std::vector<size_t>& cols,
-                    std::vector<uint64_t>* hashes) const {
-    ComputeRowHashes(cols, hashes);
-  }
-  void HashAllRowsInto(std::vector<uint64_t>* hashes) const {
-    ComputeAllRowHashes(hashes);
-  }
-
   /// Optional row reorder for cache-linear probing: sorts rows by the
   /// index slot their hash homes to (hash & index mask — the probe
   /// address prefix), so a row-order scan that probes an equally-sized
@@ -466,8 +401,8 @@ class ColumnarStore {
   /// enough to cover a memory load, shallow enough to stay in flight.
   static constexpr size_t kProbeAhead = 16;
   static constexpr size_t kMinCapacity = 8;
-  // Same 7/8 load policy as FlatMap; denser tables iterate cheaper and
-  // robin-hood keeps probe variance low at high load.
+  // 7/8 maximum load: denser tables iterate cheaper and robin-hood keeps
+  // probe variance low at high load.
   static constexpr size_t kMaxLoadNum = 8;
   static constexpr size_t kMaxLoadDen = 7;
   static constexpr uint8_t kMaxDistance = 255;

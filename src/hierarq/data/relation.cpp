@@ -1,6 +1,6 @@
 #include "hierarq/data/relation.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "hierarq/util/logging.h"
 
@@ -9,7 +9,7 @@ namespace hierarq {
 bool Relation::Insert(const Tuple& tuple) {
   HIERARQ_CHECK_EQ(tuple.size(), arity_)
       << "arity mismatch inserting into " << name_;
-  if (!index_.insert(tuple).second) {
+  if (!index_.try_emplace(tuple, tuples_.size()).second) {
     return false;
   }
   tuples_.push_back(tuple);
@@ -21,10 +21,15 @@ bool Relation::Erase(const Tuple& tuple) {
   if (it == index_.end()) {
     return false;
   }
+  const size_t pos = it->second;
   index_.erase(it);
-  auto pos = std::find(tuples_.begin(), tuples_.end(), tuple);
-  HIERARQ_CHECK(pos != tuples_.end());
-  *pos = tuples_.back();
+  const size_t last = tuples_.size() - 1;
+  if (pos != last) {
+    tuples_[pos] = std::move(tuples_[last]);
+    auto moved = index_.find(tuples_[pos]);
+    HIERARQ_CHECK(moved != index_.end() && moved->second == last);
+    moved->second = pos;
+  }
   tuples_.pop_back();
   return true;
 }

@@ -4,11 +4,12 @@
 /// \file relation.h
 /// \brief Set-semantics relations: duplicate-free bags of same-arity tuples.
 ///
-/// Iteration order is insertion order (deterministic), membership is O(1)
-/// via a hash index.
+/// Iteration order is insertion order until the first erase
+/// (deterministic either way). Membership, insert and erase are O(1) via a
+/// hash index from each tuple to its position in the tuple vector.
 
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "hierarq/data/tuple.h"
@@ -36,9 +37,10 @@ class Relation {
     return index_.find(tuple) != index_.end();
   }
 
-  /// Removes `tuple` if present; returns true if removed. O(n) tail
-  /// compaction is avoided by swap-with-last, so iteration order after an
-  /// erase is *not* insertion order anymore.
+  /// Removes `tuple` if present; returns true if removed. O(1): the last
+  /// tuple moves into the erased position and its index entry is
+  /// re-pointed, so iteration order after an erase is *not* insertion
+  /// order anymore.
   bool Erase(const Tuple& tuple);
 
   /// Tuples in deterministic order.
@@ -50,7 +52,9 @@ class Relation {
   std::string name_;
   size_t arity_ = 0;
   std::vector<Tuple> tuples_;
-  std::unordered_set<Tuple, TupleHash> index_;
+  // Tuple -> its position in `tuples_`. Each tuple is stored exactly
+  // twice: once in the vector, once as this map's key.
+  std::unordered_map<Tuple, size_t, TupleHash> index_;
 };
 
 }  // namespace hierarq

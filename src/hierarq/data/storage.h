@@ -2,71 +2,22 @@
 #define HIERARQ_DATA_STORAGE_H_
 
 /// \file storage.h
-/// \brief The storage-backend selector for `AnnotatedRelation`.
+/// \brief Name of the one relation layout, for reports that print it.
 ///
-/// Five layouts implement the relation interface
-/// (`Find`/`FindOrInsert`/`Merge`/`Reset`/`AssignFrom`):
-///
-///   * `kBaseline` — `std::unordered_map<Tuple, K>`: the reference
-///     implementation; one heap node per fact, pointer-chasing probes.
-///   * `kFlat`     — `FlatMap` (util/flat_map.h): open-addressing
-///     robin-hood table keyed by whole tuples stored inline.
-///   * `kColumnar` — `ColumnarStore` (data/columnar.h): one value vector
-///     per schema position plus a row-id hash index, so Rule 1
-///     projections touch only the surviving columns.
-///   * `kSharded`  — `ShardedStore` (data/sharded.h): a power-of-two set
-///     of independent FlatMap shards routed by the top bits of the key
-///     hash, so intra-query parallel Rule 1/Rule 2 steps
-///     (core/parallel.h) accumulate lock-free, one worker per shard.
-///   * `kShardedColumnar` — `ShardedColumnarStore` (data/sharded.h): the
-///     same hash-sharded partition with a `ColumnarStore` per shard, so
-///     parallel steps keep the lock-free shard ownership *and* the SIMD
-///     batch-hash/compare kernels columnar execution gets.
-///
-/// All five are always compiled in; the backend is selected *at runtime*
-/// per relation (threaded as an engine option through `Evaluator`,
-/// `EvalService` and `hierarq_cli --storage=...`), so A/B comparison runs
-/// need no rebuild. The compile-time policy — CMake options
-/// `HIERARQ_STORAGE_BASELINE` / (default flat) / `HIERARQ_STORAGE_COLUMNAR`
-/// — only picks which backend newly created relations default to.
-
-#include <optional>
-#include <string_view>
+/// Every `AnnotatedRelation` stores its support in a `ColumnarStore`
+/// (data/columnar.h); there is nothing to select. This header only keeps
+/// the name available to report writers that record which layout a run
+/// measured. The engine itself does not include it.
 
 namespace hierarq {
 
-/// Which layout an `AnnotatedRelation` stores its support in.
-enum class StorageKind : unsigned char {
-  kBaseline = 0,  ///< std::unordered_map reference backend.
-  kFlat = 1,      ///< Tuple-keyed open-addressing FlatMap.
-  kColumnar = 2,  ///< Column vectors + row-id hash index.
-  kSharded = 3,   ///< Hash-sharded FlatMap shards (intra-query parallel).
-  kShardedColumnar = 4,  ///< Hash-sharded ColumnarStore shards.
-};
+/// The relation layout. Columnar is the only one.
+enum class StorageKind : unsigned char { kColumnar = 2 };
 
-/// The backend relations default to, fixed by the compile-time policy.
-inline constexpr StorageKind kDefaultStorageKind =
-#if defined(HIERARQ_STORAGE_DEFAULT_BASELINE)
-    StorageKind::kBaseline;
-#elif defined(HIERARQ_STORAGE_DEFAULT_COLUMNAR)
-    StorageKind::kColumnar;
-#else
-    StorageKind::kFlat;
-#endif
+inline constexpr StorageKind kDefaultStorageKind = StorageKind::kColumnar;
 
-/// "baseline" / "flat" / "columnar" / "sharded" / "sharded_columnar" —
-/// the spelling of the CLI flag and of the per-row storage tags in
-/// BENCH_*.json.
-const char* StorageKindName(StorageKind kind);
-
-/// Inverse of `StorageKindName`; nullopt for unknown spellings.
-std::optional<StorageKind> ParseStorageKind(std::string_view name);
-
-/// All backends, in enum order — the iteration axis of the cross-backend
-/// differential tests and the per-backend bench emitters.
-inline constexpr StorageKind kAllStorageKinds[] = {
-    StorageKind::kBaseline, StorageKind::kFlat, StorageKind::kColumnar,
-    StorageKind::kSharded, StorageKind::kShardedColumnar};
+/// "columnar" — the layout tag reports print.
+inline const char* StorageKindName(StorageKind) { return "columnar"; }
 
 }  // namespace hierarq
 

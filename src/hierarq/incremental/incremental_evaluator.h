@@ -28,9 +28,6 @@
 #include <vector>
 
 #include "hierarq/algebra/two_monoid.h"
-#include "hierarq/core/adaptive.h"
-#include "hierarq/core/parallel.h"
-#include "hierarq/data/storage.h"
 #include "hierarq/incremental/delta.h"
 #include "hierarq/incremental/incremental_view.h"
 #include "hierarq/incremental/versioned_database.h"
@@ -48,24 +45,6 @@ class IncrementalEvaluator {
   using Annotator = typename IncrementalView<M>::Annotator;
   /// Stable view identifier (dense; survives other views detaching).
   using ViewHandle = size_t;
-
-  struct Options {
-    /// Storage backend of every materialized view relation.
-    StorageKind storage = kDefaultStorageKind;
-    /// > 1 materializes views with intra-query shard parallelism
-    /// (core/parallel.h): Attach's full Algorithm 1 pass — and any future
-    /// resync rematerialization — runs its big folds across a pool this
-    /// evaluator owns. Delta application stays serial (per-key work).
-    size_t intra_query_threads = 1;
-    /// Adaptive materialization (core/adaptive.h): with the default
-    /// thread count the pool is sized from the detected hardware
-    /// concurrency, and parallel steps scatter into the SIMD-widened
-    /// sharded-columnar flavor. Unlike the batch engine, steps are not
-    /// re-decided per replay — a view's intermediates are
-    /// delta-maintained in whatever backend materialization placed them,
-    /// so the choice must be stable for the view's lifetime.
-    bool adaptive = false;
-  };
 
   struct Stats {
     size_t attaches = 0;       ///< Views materialized.
@@ -90,24 +69,11 @@ class IncrementalEvaluator {
   /// outlive this evaluator) in `monoid`, annotating present facts with
   /// `annotator(fact, weight)`.
   IncrementalEvaluator(M monoid, VersionedDatabase* database,
-                       Annotator annotator, Options options = {})
+                       Annotator annotator)
       : monoid_(std::move(monoid)),
         database_(database),
-        annotator_(std::move(annotator)),
-        options_(options) {
+        annotator_(std::move(annotator)) {
     HIERARQ_CHECK(database_ != nullptr);
-    if (options_.adaptive && options_.intra_query_threads <= 1) {
-      options_.intra_query_threads =
-          AdaptiveController().hardware_threads();
-    }
-    if (options_.intra_query_threads > 1) {
-      pool_ = std::make_unique<WorkerPool>(options_.intra_query_threads);
-      par_.pool = pool_.get();
-      par_.threads = options_.intra_query_threads;
-      if (options_.adaptive) {
-        par_.parallel_storage = StorageKind::kShardedColumnar;
-      }
-    }
   }
 
   IncrementalEvaluator(const IncrementalEvaluator&) = delete;
@@ -125,8 +91,7 @@ class IncrementalEvaluator {
     HIERARQ_ASSIGN_OR_RETURN(EliminationPlan plan,
                              EliminationPlan::Build(query));
     auto view = std::make_unique<IncrementalView<M>>(
-        query, std::move(plan), monoid_, annotator_, options_.storage,
-        par_);
+        query, std::move(plan), monoid_, annotator_);
     view->Materialize(*database_);
     ++stats_.attaches;
     views_.push_back(std::move(view));
@@ -229,11 +194,6 @@ class IncrementalEvaluator {
   M monoid_;
   VersionedDatabase* database_;  // Non-owning.
   Annotator annotator_;
-  Options options_;
-  /// Materialization pool (intra_query_threads > 1 only). Declared before
-  /// views_, which borrow it: views die first on destruction.
-  std::unique_ptr<WorkerPool> pool_;
-  IntraQueryParallel par_;
   // unique_ptr slots: handles are indices, detached views leave holes.
   std::vector<std::unique_ptr<IncrementalView<M>>> views_;
   Stats stats_;

@@ -48,9 +48,7 @@
 #include <vector>
 
 #include "hierarq/algebra/two_monoid.h"
-#include "hierarq/core/parallel.h"
 #include "hierarq/data/annotated.h"
-#include "hierarq/data/storage.h"
 #include "hierarq/incremental/delta.h"
 #include "hierarq/incremental/monoid_traits.h"
 #include "hierarq/incremental/versioned_database.h"
@@ -122,19 +120,12 @@ class IncrementalView {
     uint64_t apply_ns = 0;       ///< Total wall time spent inside Apply.
   };
 
-  /// `par` (optional) lets Materialize run its big Rule 1/Rule 2 steps —
-  /// the same ⊕-folds the batch engine shards — in parallel
-  /// (core/parallel.h); the pool must outlive the view. Delta application
-  /// stays serial: per-key updates have nothing to fan out.
   IncrementalView(ConjunctiveQuery query, EliminationPlan plan, M monoid,
-                  Annotator annotator, StorageKind storage,
-                  IntraQueryParallel par = {})
+                  Annotator annotator)
       : query_(std::move(query)),
         plan_(std::move(plan)),
         monoid_(std::move(monoid)),
-        annotator_(std::move(annotator)),
-        storage_(storage),
-        par_(par) {
+        annotator_(std::move(annotator)) {
     relations_.resize(plan_.num_atoms());
     deltas_.resize(plan_.num_atoms());
     if constexpr (Traits::kPlusInvertible) {
@@ -159,7 +150,6 @@ class IncrementalView {
   const ConjunctiveQuery& query() const { return query_; }
   const EliminationPlan& plan() const { return plan_; }
   const M& monoid() const { return monoid_; }
-  StorageKind storage() const { return storage_; }
   const Stats& stats() const { return stats_; }
 
   /// The maintained Algorithm 1 result as of the last Materialize/Apply.
@@ -190,7 +180,7 @@ class IncrementalView {
     };
     for (size_t a = 0; a < plan_.num_base_atoms(); ++a) {
       const Atom& atom = query_.atoms()[a];
-      relations_[a].Reset(atom.vars(), storage_);
+      relations_[a].Reset(atom.vars());
       const Relation* relation = db.facts().FindRelation(atom.relation());
       if (relation != nullptr) {
         relations_[a].Reserve(relation->size());
@@ -206,34 +196,24 @@ class IncrementalView {
       const uint64_t start_ns =
           tracer != nullptr ? obs::Tracer::NowNs() : 0;
       uint64_t rows_in = 0;
-      StepExecution exec;
+      result.Reset(result_vars);
       if (step.rule == EliminationRule::kProjectVariable) {
         const AnnotatedRelation<K>& source = relations_[step.source_atom];
         rows_in = source.size();
-        // The batch engine's shared step dispatch (core/parallel.h)
-        // decides parallel-vs-serial, so the two engines cannot drift in
-        // coverage. A step sharded here then lives (and is delta-
-        // maintained) in the sharded backend, which supports the same
-        // per-key ops as the others; serial steps keep the view's
-        // configured backend.
-        ProjectDropStep(source, step.drop_pos, result_vars, plus, par_,
-                        storage_, &result, &exec);
+        source.ProjectDropInto(step.drop_pos, plus, &result);
         RebuildRule1Bookkeeping(si, step, source);
       } else {
         rows_in = relations_[step.left_atom].size() +
                   relations_[step.right_atom].size();
-        JoinUnionStep(relations_[step.left_atom],
-                      relations_[step.right_atom], result_vars, times,
-                      monoid_.Zero(), par_, storage_, &result, &exec);
+        AnnotatedRelation<K>::JoinUnionInto(relations_[step.left_atom],
+                                            relations_[step.right_atom],
+                                            times, monoid_.Zero(), &result);
       }
       if (tracer != nullptr) {
         obs::TraceStepArgs args;
         args.step_index = static_cast<uint32_t>(si);
         args.rule = step.rule == EliminationRule::kProjectVariable ? 1 : 2;
-        args.backend = result.storage();
         args.simd = simd::ActiveLevel();
-        args.parallel = exec.parallel;
-        args.threads = static_cast<uint32_t>(exec.threads);
         args.rows_in = rows_in;
         args.rows_out = result.size();
         tracer->EmitStep(start_ns, obs::Tracer::NowNs(), args);
@@ -542,10 +522,6 @@ class IncrementalView {
   EliminationPlan plan_;
   M monoid_;
   Annotator annotator_;
-  StorageKind storage_;
-  /// Parallel materialization config; disabled by default. The pool is
-  /// borrowed from the owning IncrementalEvaluator.
-  IntraQueryParallel par_;
 
   /// The view tree: one materialized relation per plan atom (base atoms
   /// in query order, then one per step result), never cleared.

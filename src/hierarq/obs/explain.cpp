@@ -52,26 +52,13 @@ std::string StepDetails(const StepObservation* obs) {
     return "[not executed]";
   }
   const TraceStepArgs& a = obs->args;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "[backend=%s threads=%u rows %llu -> %llu time=%s simd=%s",
-                StorageKindName(a.backend), a.threads,
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "[rows %llu -> %llu time=%s simd=%s",
                 static_cast<unsigned long long>(a.rows_in),
                 static_cast<unsigned long long>(a.rows_out),
                 FormatNs(static_cast<double>(obs->dur_ns)).c_str(),
                 simd::LevelName(a.simd));
   std::string out = buf;
-  const char* chosen = a.parallel ? "parallel" : "serial";
-  if (a.adaptive && a.predicted_serial_ns >= 0.0) {
-    out += " chose ";
-    out += chosen;
-    out += " (pred serial=" + FormatNs(a.predicted_serial_ns) +
-           " parallel=" + FormatNs(a.predicted_parallel_ns) + ")";
-  } else {
-    out += " ";
-    out += chosen;
-    out += " (fixed)";
-  }
   if (obs->runs > 1) {
     char runs[32];
     std::snprintf(runs, sizeof(runs), " x%zu runs, last shown", obs->runs);

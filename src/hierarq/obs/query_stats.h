@@ -7,8 +7,7 @@
 /// The metrics registry answers "what has this process done"; a served
 /// client asks "what did *my* query cost". `QueryStats` is that answer:
 /// one plain struct of counters for a single evaluation — rows scanned
-/// and emitted per rule, how many elimination steps ran and how many of
-/// them went parallel, how often the cancellation gate was polled, how
+/// and emitted per rule, how many elimination steps ran, how often the cancellation gate was polled, how
 /// long the request waited in the admission queue versus executing, and
 /// whether the plan came out of a cache. The server attaches it to the
 /// result frame (net/wire.h, flag-gated so old clients never see it) and
@@ -16,8 +15,8 @@
 ///
 /// Collection follows the `ScopedCancel` idiom exactly (core/cancel.h):
 /// a `ScopedQueryStats` guard installs a collector pointer in a
-/// thread_local for the scope of one evaluation, and every Algorithm 1
-/// runner bumps it through one hoisted null check per run. Evaluation may
+/// thread_local for the scope of one evaluation, and the Algorithm 1
+/// step loop bumps it through one hoisted null check per run. Evaluation may
 /// run on a different thread from the caller (a service pool worker), so
 /// the installer is whoever wraps the actual `ReplayPlan`/`Evaluate`
 /// call — `EvalService::EvaluateGroup` installs it beside the cancel
@@ -47,7 +46,9 @@ struct QueryStats {
   uint64_t rule2_rows_scanned = 0;
   uint64_t rule2_rows_emitted = 0;
 
-  // Step mix: every elimination step is exactly one of serial/parallel.
+  // Step mix. Every step runs serially, so steps_serial == steps_total;
+  // steps_parallel is always 0 and stays only because both wire codecs
+  // carry it (native frames are positional, and old clients decode it).
   uint64_t steps_total = 0;
   uint64_t steps_serial = 0;
   uint64_t steps_parallel = 0;
@@ -67,10 +68,9 @@ struct QueryStats {
 
   void Reset() { *this = QueryStats{}; }
 
-  /// One step's accounting; called by every runner behind its hoisted
+  /// One step's accounting; called by the step loop behind its hoisted
   /// null check.
-  void RecordStep(uint8_t rule, uint64_t rows_in, uint64_t rows_out,
-                  bool parallel) {
+  void RecordStep(uint8_t rule, uint64_t rows_in, uint64_t rows_out) {
     if (rule == 1) {
       rule1_rows_scanned += rows_in;
       rule1_rows_emitted += rows_out;
@@ -79,11 +79,7 @@ struct QueryStats {
       rule2_rows_emitted += rows_out;
     }
     ++steps_total;
-    if (parallel) {
-      ++steps_parallel;
-    } else {
-      ++steps_serial;
-    }
+    ++steps_serial;
   }
 
   /// key=value rendering, single line — the form the slow-query log and

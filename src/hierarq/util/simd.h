@@ -4,7 +4,7 @@
 /// \file simd.h
 /// \brief A small SIMD portability shim for the columnar hot loops.
 ///
-/// The columnar storage backend (data/columnar.h) spends its time in two
+/// The column store (data/columnar.h) spends its time in two
 /// kinds of loop PR 3 deliberately left scalar: folding per-row hashes
 /// column by column (`HashCombine` over a contiguous `Value` array) and
 /// comparing a probe key against one candidate row's column lanes. Both

@@ -85,7 +85,6 @@ void WorkerPool::ParallelFor(
   if (n == 0) {
     return;
   }
-  parallel_for_calls_.fetch_add(1, std::memory_order_relaxed);
   LatchWaitsCounter()->Add();
   // The latch synchronizes the workers' writes (results stored by `fn`)
   // with the caller's reads after wait() returns.

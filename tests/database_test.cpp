@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "hierarq/data/database.h"
 #include "hierarq/data/loader.h"
 #include "hierarq/data/tid_database.h"
+#include "hierarq/util/random.h"
 
 namespace hierarq {
 namespace {
@@ -27,6 +31,35 @@ TEST(Relation, Erase) {
   EXPECT_FALSE(r.Erase(MakeTuple({1})));
   EXPECT_EQ(r.size(), 1u);
   EXPECT_TRUE(r.Contains(MakeTuple({2})));
+}
+
+TEST(Relation, InterleavedInsertEraseMatchesSetModel) {
+  // Erase swaps the last tuple into the hole and re-points its index
+  // entry; a stale entry would show up here as a Contains/tuples()
+  // disagreement or a failed CHECK on a later erase of the moved tuple.
+  Rng rng(0x5e7);
+  Relation r("R", 2);
+  std::set<std::vector<Value>> model;
+  const auto as_vector = [](const Tuple& t) {
+    return std::vector<Value>(t.begin(), t.end());
+  };
+  for (int op = 0; op < 5000; ++op) {
+    const Tuple t = MakeTuple({rng.UniformInt(0, 11), rng.UniformInt(0, 11)});
+    if (rng.Next() % 5 < 3) {
+      EXPECT_EQ(r.Insert(t), model.insert(as_vector(t)).second);
+    } else {
+      EXPECT_EQ(r.Erase(t), model.erase(as_vector(t)) > 0);
+    }
+    ASSERT_EQ(r.size(), model.size()) << "op " << op;
+    std::set<std::vector<Value>> listed;
+    for (const Tuple& stored : r.tuples()) {
+      EXPECT_TRUE(listed.insert(as_vector(stored)).second)
+          << "tuples() lists a tuple twice";
+      EXPECT_TRUE(r.Contains(stored));
+    }
+    ASSERT_EQ(listed, model) << "op " << op;
+    EXPECT_EQ(r.Contains(t), model.count(as_vector(t)) == 1);
+  }
 }
 
 TEST(Relation, ToString) {

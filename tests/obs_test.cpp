@@ -279,20 +279,15 @@ TEST(Tracer, UninstalledSpansAreCheapAndRecordNothing) {
   EXPECT_LT(ns_per_span, 500.0);
 }
 
-TEST(Tracer, StepEventsCarryTheDecision) {
+TEST(Tracer, StepEventsCarryRuleAndRows) {
   obs::Tracer tracer;
   tracer.Install();
   const uint64_t t0 = obs::Tracer::NowNs();
   obs::TraceStepArgs args;
   args.step_index = 3;
   args.rule = 2;
-  args.parallel = true;
-  args.threads = 4;
   args.rows_in = 100;
   args.rows_out = 60;
-  args.adaptive = true;
-  args.predicted_serial_ns = 1000.0;
-  args.predicted_parallel_ns = 400.0;
   tracer.EmitStep(t0, obs::Tracer::NowNs(), args);
   tracer.Uninstall();
   const std::vector<obs::TraceEvent> events = tracer.Snapshot();
@@ -300,8 +295,8 @@ TEST(Tracer, StepEventsCarryTheDecision) {
   EXPECT_EQ(events[0].kind, obs::TraceEvent::Kind::kStep);
   EXPECT_STREQ(events[0].name, "rule2_merge");
   EXPECT_EQ(events[0].step.step_index, 3u);
-  EXPECT_TRUE(events[0].step.parallel);
-  EXPECT_EQ(events[0].step.threads, 4u);
+  EXPECT_EQ(events[0].step.rows_in, 100u);
+  EXPECT_EQ(events[0].step.rows_out, 60u);
 }
 
 TEST(Explain, NamesEveryPlanStepExactlyOnce) {
@@ -432,8 +427,8 @@ TEST(QueryStats, RenderAndScopedCollection) {
   {
     obs::ScopedQueryStats scope(&stats);
     ASSERT_EQ(obs::CurrentQueryStats(), &stats);
-    obs::CurrentQueryStats()->RecordStep(1, 10, 4, false);
-    obs::CurrentQueryStats()->RecordStep(2, 8, 2, true);
+    obs::CurrentQueryStats()->RecordStep(1, 10, 4);
+    obs::CurrentQueryStats()->RecordStep(2, 8, 2);
   }
   EXPECT_EQ(obs::CurrentQueryStats(), nullptr) << "scope must uninstall";
   EXPECT_EQ(stats.rule1_rows_scanned, 10u);
@@ -441,8 +436,8 @@ TEST(QueryStats, RenderAndScopedCollection) {
   EXPECT_EQ(stats.rule2_rows_scanned, 8u);
   EXPECT_EQ(stats.rule2_rows_emitted, 2u);
   EXPECT_EQ(stats.steps_total, 2u);
-  EXPECT_EQ(stats.steps_serial, 1u);
-  EXPECT_EQ(stats.steps_parallel, 1u);
+  EXPECT_EQ(stats.steps_serial, 2u);
+  EXPECT_EQ(stats.steps_parallel, 0u) << "every step runs serially";
   const std::string line = stats.Render();
   EXPECT_NE(line.find("rule1_rows_scanned=10"), std::string::npos) << line;
   EXPECT_NE(line.find("plan_cache_hit=false"), std::string::npos) << line;

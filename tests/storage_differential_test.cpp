@@ -1,25 +1,30 @@
-// Cross-backend differential harness: every storage backend behind
-// `AnnotatedRelation` (baseline std::unordered_map, FlatMap, columnar)
-// must produce the same answers for every solver on the same instance.
+// Oracle differential harness: the column-store Algorithm 1 engine
+// (`Evaluator` and the solvers built on it) against the independent
+// reference implementations in engine/.
 //
-// The harness drives the workload generators (random hierarchical queries
-// + random databases, fully seeded) through all three backends for
-// count, PQE, resilience, and Shapley, over hundreds of instances, and
-// asserts:
-//   * bit-identical results where the monoid's ⊕/⊗ are exactly
-//     associative-commutative (counting, resilience min/plus, exact
-//     Fraction Shapley values) — backend iteration order cannot matter;
-//   * tiny-relative-error agreement for the floating-point monoids (PQE,
-//     expected multiplicity): the backends visit supports in different
-//     orders, and double addition is not associative, so the last few
-//     ulps may legitimately differ.
+// Seeded random hierarchical queries and databases (workload/) drive
+// every solver, and each answer is compared with an oracle that shares
+// no code with Algorithm 1:
+//   * count and Boolean evaluation: the backtracking join engine
+//     (`BagSetCount`, `EvaluateBoolean`), on every instance;
+//   * PQE, expected multiplicity, the tropical min-plus value,
+//     resilience, Shapley values and bag-set maximization: brute-force
+//     enumeration of worlds, assignments, removal sets, subsets and
+//     repairs (engine/bruteforce.h), on instances small enough for it.
+// Exact monoids (count, Boolean, resilience, Shapley fractions, bag-set
+// profiles) must match bit for bit. Floating-point monoids (PQE,
+// expectation, tropical) must match within 1e-11 relative: the oracles
+// sum in a different order, and double addition is not associative.
 // Edge cases get dedicated instances: empty and missing base relations,
 // duplicate-key (bag) merges, and single-fact supports.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "hierarq/hierarq.h"
@@ -27,22 +32,24 @@
 namespace hierarq {
 namespace {
 
-constexpr StorageKind kKinds[] = {StorageKind::kBaseline, StorageKind::kFlat,
-                                  StorageKind::kColumnar};
+constexpr double kFloatTolerance = 1e-11;
 
-uint64_t CountWith(StorageKind kind, const ConjunctiveQuery& q,
-                   const Database& db) {
-  Evaluator evaluator(kind);
+uint64_t AlgorithmCount(Evaluator& evaluator, const ConjunctiveQuery& q,
+                        const Database& db) {
   auto result = evaluator.Evaluate<CountMonoid>(
       q, CountMonoid{}, db, [](const Fact&) -> uint64_t { return 1; });
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? *result : 0;
 }
 
-// Relative-or-absolute closeness for the floating monoids.
-void ExpectClose(double a, double b) {
+// Relative closeness with an absolute floor of kFloatTolerance, for the
+// floating monoids.
+void ExpectClose(double a, double b, const std::string& context) {
+  if (a == b) {
+    return;  // Also covers ±inf (the tropical zero).
+  }
   const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  EXPECT_NEAR(a, b, 1e-11 * scale);
+  EXPECT_NEAR(a, b, kFloatTolerance * scale) << context;
 }
 
 // Removes every fact of `relation` from a copy of `db` — produces the
@@ -64,9 +71,70 @@ ConjunctiveQuery RandomQuery(Rng& rng) {
   return MakeRandomHierarchical(rng, opts);
 }
 
-// ---------------------------------------------------------------- count --
+// The fact an atom maps to under one satisfying assignment; `values` are
+// the query variables' values in ascending VarId order, as
+// EnumerateAssignments reports them.
+Fact AtomFact(const ConjunctiveQuery& q, const Atom& atom,
+              const std::vector<Value>& values) {
+  const VarSet all = q.AllVars();
+  Fact fact{atom.relation(), Tuple{}};
+  for (const Term& term : atom.terms()) {
+    if (term.is_constant()) {
+      fact.tuple.push_back(term.constant());
+      continue;
+    }
+    size_t rank = 0;
+    while (all[rank] != term.var()) {
+      ++rank;
+    }
+    fact.tuple.push_back(values[rank]);
+  }
+  return fact;
+}
 
-TEST(StorageDifferential, CountAgreesAcrossBackendsOnRandomInstances) {
+// E[Q] = Σ_worlds P(world) · Q(world), enumerated over all 2^|D| worlds.
+double BruteForceExpectation(const ConjunctiveQuery& q,
+                             const TidDatabase& db) {
+  const auto facts = db.AllFacts();
+  HIERARQ_CHECK_LE(facts.size(), 20u);
+  double total = 0.0;
+  for (uint64_t mask = 0; mask < (uint64_t{1} << facts.size()); ++mask) {
+    double weight = 1.0;
+    Database world;
+    for (size_t i = 0; i < facts.size(); ++i) {
+      if ((mask >> i) & 1) {
+        weight *= facts[i].second;
+        world.AddFactOrDie(facts[i].first.relation, facts[i].first.tuple);
+      } else {
+        weight *= 1.0 - facts[i].second;
+      }
+    }
+    if (weight > 0.0) {
+      total += weight * static_cast<double>(BagSetCount(q, world));
+    }
+  }
+  return total;
+}
+
+// Tropical (min, +) value: the cheapest satisfying assignment, where an
+// assignment costs the sum of its facts' weights; +inf when none exists.
+double BruteForceTropical(const ConjunctiveQuery& q, const TidDatabase& db) {
+  double best = std::numeric_limits<double>::infinity();
+  EnumerateAssignments(q, db.facts(), [&](const std::vector<Value>& values) {
+    double cost = 0.0;
+    for (const Atom& atom : q.atoms()) {
+      cost += db.Probability(AtomFact(q, atom, values));
+    }
+    best = std::min(best, cost);
+    return true;
+  });
+  return best;
+}
+
+// ----------------------------------------------------- count and Boolean --
+
+TEST(OracleDifferential, CountAndBooleanMatchJoinEngine) {
+  Evaluator evaluator;
   size_t instances = 0;
   for (uint64_t seed = 0; seed < 80; ++seed) {
     Rng rng(1000 + seed);
@@ -76,28 +144,24 @@ TEST(StorageDifferential, CountAgreesAcrossBackendsOnRandomInstances) {
     dopts.tuples_per_relation = static_cast<size_t>(rng.UniformInt(0, 50));
     dopts.domain_size = 2 + static_cast<size_t>(rng.UniformInt(0, 14));
     const Database db = RandomDatabaseForQuery(q, rng, dopts);
+    const std::string context =
+        "seed=" + std::to_string(seed) + " query=" + q.ToString();
 
-    const uint64_t reference = CountWith(StorageKind::kBaseline, q, db);
-    for (StorageKind kind : kKinds) {
-      EXPECT_EQ(CountWith(kind, q, db), reference)
-          << "seed=" << seed << " storage=" << StorageKindName(kind)
-          << " query=" << q.ToString();
-    }
-    // The join engine cross-checks the whole family on small instances.
-    if (db.NumFacts() <= 60) {
-      EXPECT_EQ(reference, BagSetCount(q, db)) << "seed=" << seed;
-    }
+    const uint64_t expected = BagSetCount(q, db);
+    EXPECT_EQ(AlgorithmCount(evaluator, q, db), expected) << context;
+    auto direct = BagSetCountHierarchical(q, db);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ(*direct, expected) << context;
+    auto boolean = evaluator.Evaluate<BoolMonoid>(
+        q, BoolMonoid{}, db, [](const Fact&) { return true; });
+    ASSERT_TRUE(boolean.ok());
+    EXPECT_EQ(*boolean, EvaluateBoolean(q, db)) << context;
     ++instances;
 
     // Variant: first atom's base relation missing entirely.
     const Database dropped = DropRelation(db, q.atoms()[0].relation());
-    const uint64_t dropped_reference =
-        CountWith(StorageKind::kBaseline, q, dropped);
-    EXPECT_EQ(dropped_reference, 0u);  // An empty conjunct kills Q().
-    for (StorageKind kind : kKinds) {
-      EXPECT_EQ(CountWith(kind, q, dropped), dropped_reference)
-          << "seed=" << seed << " storage=" << StorageKindName(kind);
-    }
+    EXPECT_EQ(BagSetCount(q, dropped), 0u);  // An empty conjunct kills Q().
+    EXPECT_EQ(AlgorithmCount(evaluator, q, dropped), 0u) << context;
     ++instances;
   }
   EXPECT_GE(instances, 160u);
@@ -105,10 +169,12 @@ TEST(StorageDifferential, CountAgreesAcrossBackendsOnRandomInstances) {
 
 // ------------------------------------------------------ duplicate merges --
 
-TEST(StorageDifferential, BagAnnotationsMergeIdenticallyAcrossBackends) {
+TEST(OracleDifferential, BagAnnotationsMergeLikeRepeatedFacts) {
   // Set databases cannot produce duplicate annotated keys, so bag inputs
   // are simulated the way AnnotateAtom's contract allows: annotating the
-  // same relation multiple times into one output with ⊕ as the combiner.
+  // same relation `m` times into one output with ⊕ as the combiner. Every
+  // key then carries m, and each satisfying assignment uses one key per
+  // atom, so Q = m^atoms · BagSetCount.
   for (uint64_t seed = 0; seed < 20; ++seed) {
     Rng rng(7000 + seed);
     const ConjunctiveQuery q = RandomQuery(rng);
@@ -116,99 +182,107 @@ TEST(StorageDifferential, BagAnnotationsMergeIdenticallyAcrossBackends) {
     dopts.tuples_per_relation = 1 + static_cast<size_t>(rng.UniformInt(0, 20));
     dopts.domain_size = 2 + static_cast<size_t>(rng.UniformInt(0, 6));
     const Database db = RandomDatabaseForQuery(q, rng, dopts);
-    const size_t multiplicity = 2 + static_cast<size_t>(seed % 3);
+    const uint64_t multiplicity = 2 + seed % 3;
 
     auto plan = EliminationPlan::Build(q);
     ASSERT_TRUE(plan.ok());
     const CountMonoid monoid;
     const auto annotator =
         std::function<uint64_t(const Fact&)>([](const Fact&) { return 1; });
-    const auto plus = [](uint64_t a, uint64_t b) { return a + b; };
-
-    std::optional<uint64_t> reference;
-    for (StorageKind kind : kKinds) {
-      AnnotatedDatabase<uint64_t> annotated;
-      annotated.relations.reserve(q.num_atoms());
-      for (const Atom& atom : q.atoms()) {
-        AnnotatedRelation<uint64_t> rel(atom.vars(), kind);
-        const Relation* relation = db.FindRelation(atom.relation());
-        if (relation != nullptr) {
-          for (size_t copy = 0; copy < multiplicity; ++copy) {
-            AnnotateAtom<uint64_t>(atom, *relation, annotator, plus, &rel);
-          }
+    const auto plus = [&monoid](uint64_t a, uint64_t b) {
+      return monoid.Plus(a, b);
+    };
+    AnnotatedDatabase<uint64_t> annotated;
+    annotated.relations.reserve(q.num_atoms());
+    for (const Atom& atom : q.atoms()) {
+      AnnotatedRelation<uint64_t> rel(atom.vars());
+      const Relation* relation = db.FindRelation(atom.relation());
+      if (relation != nullptr) {
+        for (uint64_t copy = 0; copy < multiplicity; ++copy) {
+          AnnotateAtom<uint64_t>(atom, *relation, annotator, plus, &rel);
         }
-        annotated.relations.push_back(std::move(rel));
       }
-      const uint64_t value =
-          RunAlgorithm1(*plan, monoid, std::move(annotated));
-      if (!reference.has_value()) {
-        reference = value;
-      }
-      EXPECT_EQ(value, *reference)
-          << "seed=" << seed << " storage=" << StorageKindName(kind);
+      annotated.relations.push_back(std::move(rel));
     }
+    uint64_t expected = BagSetCount(q, db);
+    for (size_t i = 0; i < q.num_atoms(); ++i) {
+      expected = monoid.Times(expected, multiplicity);
+    }
+    EXPECT_EQ(RunAlgorithm1(*plan, monoid, std::move(annotated)), expected)
+        << "seed=" << seed << " query=" << q.ToString();
   }
 }
 
-// ------------------------------------------------------------------- PQE --
+// ---------------------------------------- PQE, expectation and tropical --
 
-TEST(StorageDifferential, ProbabilityAgreesAcrossBackends) {
+TEST(OracleDifferential, FloatingMonoidsMatchEnumeration) {
+  Evaluator evaluator;
+  size_t compared = 0;
   for (uint64_t seed = 0; seed < 60; ++seed) {
     Rng rng(2000 + seed);
     const ConjunctiveQuery q = RandomQuery(rng);
     DataGenOptions dopts;
-    dopts.tuples_per_relation = static_cast<size_t>(rng.UniformInt(0, 40));
-    dopts.domain_size = 2 + static_cast<size_t>(rng.UniformInt(0, 10));
+    dopts.tuples_per_relation = static_cast<size_t>(rng.UniformInt(0, 4));
+    dopts.domain_size = 2 + static_cast<size_t>(rng.UniformInt(0, 2));
     const TidDatabase tid = RandomTidForQuery(q, rng, dopts);
-
-    Evaluator baseline(StorageKind::kBaseline);
-    auto reference = EvaluateProbability(baseline, q, tid);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (StorageKind kind : kKinds) {
-      Evaluator evaluator(kind);
-      auto result = EvaluateProbability(evaluator, q, tid);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ExpectClose(*result, *reference);
-
-      auto expectation = ExpectedMultiplicity(evaluator, q, tid);
-      auto expectation_reference = ExpectedMultiplicity(baseline, q, tid);
-      ASSERT_TRUE(expectation.ok() && expectation_reference.ok());
-      ExpectClose(*expectation, *expectation_reference);
+    if (tid.NumFacts() > 14) {
+      continue;  // 2^|D| worlds: keep the enumeration small.
     }
+    const std::string context =
+        "seed=" + std::to_string(seed) + " query=" + q.ToString();
+
+    auto probability = EvaluateProbability(evaluator, q, tid);
+    ASSERT_TRUE(probability.ok()) << probability.status().ToString();
+    ExpectClose(*probability, BruteForcePqe(q, tid), "pqe " + context);
+
+    auto expectation = ExpectedMultiplicity(evaluator, q, tid);
+    ASSERT_TRUE(expectation.ok()) << expectation.status().ToString();
+    ExpectClose(*expectation, BruteForceExpectation(q, tid),
+                "expectation " + context);
+
+    auto tropical = evaluator.Evaluate<TropicalMonoid>(
+        q, TropicalMonoid{}, tid.facts(),
+        [&tid](const Fact& fact) { return tid.Probability(fact); });
+    ASSERT_TRUE(tropical.ok());
+    ExpectClose(*tropical, BruteForceTropical(q, tid), "tropical " + context);
+    ++compared;
   }
+  EXPECT_GE(compared, 50u);
 }
 
 // ------------------------------------------------------------ resilience --
 
-TEST(StorageDifferential, ResilienceIsBitIdenticalAcrossBackends) {
+TEST(OracleDifferential, ResilienceMatchesRemovalSearch) {
+  Evaluator evaluator;
+  size_t compared = 0;
   for (uint64_t seed = 0; seed < 60; ++seed) {
     Rng rng(3000 + seed);
     const ConjunctiveQuery q = RandomQuery(rng);
     DataGenOptions dopts;
-    dopts.tuples_per_relation = static_cast<size_t>(rng.UniformInt(0, 30));
-    dopts.domain_size = 2 + static_cast<size_t>(rng.UniformInt(0, 8));
+    dopts.tuples_per_relation = static_cast<size_t>(rng.UniformInt(0, 5));
+    dopts.domain_size = 2 + static_cast<size_t>(rng.UniformInt(0, 3));
     const Database db = RandomDatabaseForQuery(q, rng, dopts);
     const auto [exo, endo] = SplitExoEndo(db, rng, 0.7);
-
-    Evaluator baseline(StorageKind::kBaseline);
-    auto reference = ComputeResilience(baseline, q, exo, endo);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (StorageKind kind : kKinds) {
-      Evaluator evaluator(kind);
-      auto result = ComputeResilience(evaluator, q, exo, endo);
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(*result, *reference)
-          << "seed=" << seed << " storage=" << StorageKindName(kind)
-          << " query=" << q.ToString();
+    if (endo.NumFacts() > 14) {
+      continue;
     }
+    auto result = ComputeResilience(evaluator, q, exo, endo);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(*result, BruteForceResilience(q, exo, endo))
+        << "seed=" << seed << " query=" << q.ToString();
+    ++compared;
   }
+  EXPECT_GE(compared, 50u);
 }
 
 // --------------------------------------------------------------- Shapley --
 
-TEST(StorageDifferential, ShapleyValuesAreBitIdenticalAcrossBackends) {
+TEST(OracleDifferential, ShapleyValuesMatchSubsetEnumeration) {
   // Exact Fractions (BigUint #Sat counts), so equality is exact; the
-  // instances stay small because each runs 2·|Dn| Algorithm 1 passes.
+  // instances stay small because the oracle enumerates 2^|Dn| subsets per
+  // fact.
+  Evaluator evaluator;
+  size_t compared = 0;
   for (uint64_t seed = 0; seed < 24; ++seed) {
     Rng rng(4000 + seed);
     const ConjunctiveQuery q = RandomQuery(rng);
@@ -217,32 +291,106 @@ TEST(StorageDifferential, ShapleyValuesAreBitIdenticalAcrossBackends) {
     dopts.domain_size = 2 + static_cast<size_t>(rng.UniformInt(0, 2));
     const Database db = RandomDatabaseForQuery(q, rng, dopts);
     const auto [exo, endo] = SplitExoEndo(db, rng, 0.6);
-
-    Evaluator baseline(StorageKind::kBaseline);
-    auto reference = AllShapleyValues(baseline, q, exo, endo);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (StorageKind kind : kKinds) {
-      Evaluator evaluator(kind);
-      auto result = AllShapleyValues(evaluator, q, exo, endo);
-      ASSERT_TRUE(result.ok());
-      ASSERT_EQ(result->size(), reference->size());
-      for (size_t i = 0; i < result->size(); ++i) {
-        EXPECT_EQ((*result)[i].first, (*reference)[i].first);
-        EXPECT_TRUE((*result)[i].second == (*reference)[i].second)
-            << "seed=" << seed << " storage=" << StorageKindName(kind)
-            << " fact #" << i << ": " << (*result)[i].second.ToString()
-            << " vs " << (*reference)[i].second.ToString();
-      }
+    if (endo.NumFacts() > 12) {
+      continue;
+    }
+    auto values = AllShapleyValues(evaluator, q, exo, endo);
+    ASSERT_TRUE(values.ok()) << values.status().ToString();
+    ASSERT_EQ(values->size(), endo.NumFacts());
+    for (const auto& [fact, value] : *values) {
+      const Fraction expected = BruteForceShapleySubsets(q, exo, endo, fact);
+      EXPECT_TRUE(value == expected)
+          << "seed=" << seed << " query=" << q.ToString() << ": "
+          << value.ToString() << " vs " << expected.ToString();
+      ++compared;
     }
   }
+  EXPECT_GE(compared, 80u);
+}
+
+// --------------------------------------------------------- bag-set max --
+
+TEST(OracleDifferential, BagSetMaxProfileMatchesRepairEnumeration) {
+  size_t compared = 0;
+  for (uint64_t seed = 0; seed < 30; ++seed) {
+    Rng rng(6000 + seed);
+    const ConjunctiveQuery q = RandomQuery(rng);
+    DataGenOptions dopts;
+    dopts.tuples_per_relation = 1 + static_cast<size_t>(rng.UniformInt(0, 3));
+    dopts.domain_size = 2 + static_cast<size_t>(rng.UniformInt(0, 2));
+    const RepairInstance inst = RandomRepairInstance(q, rng, dopts, 0.5);
+    size_t candidates = 0;
+    for (const Fact& fact : inst.repair.AllFacts()) {
+      candidates += inst.d.ContainsFact(fact) ? 0 : 1;
+    }
+    if (candidates > 12) {
+      continue;
+    }
+    const size_t budget = 1 + static_cast<size_t>(rng.UniformInt(0, 3));
+    auto result = MaximizeBagSet(q, inst.d, inst.repair, budget);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->profile,
+              BruteForceBagSetMax(q, inst.d, inst.repair, budget))
+        << "seed=" << seed << " query=" << q.ToString();
+    ++compared;
+  }
+  EXPECT_GE(compared, 25u);
+}
+
+// ------------------------------------------------------------ edge cases --
+
+TEST(OracleDifferential, EdgeCaseInstances) {
+  const ConjunctiveQuery q = ParseQueryOrDie("Q() :- R(A,B), S(A,C), T(A)");
+  Evaluator evaluator;
+
+  // Every relation present but empty, and every relation missing: Q()
+  // is false.
+  Database empty_relations;
+  for (const char* name : {"R", "S"}) {
+    empty_relations.AddFactOrDie(name, MakeTuple({1, 1}));
+    ASSERT_TRUE(empty_relations.EraseFact(Fact{name, MakeTuple({1, 1})}));
+  }
+  empty_relations.AddFactOrDie("T", MakeTuple({1}));
+  ASSERT_TRUE(empty_relations.EraseFact(Fact{"T", MakeTuple({1})}));
+  ASSERT_NE(empty_relations.FindRelation("R"), nullptr);
+  const Database no_relations;
+  for (const Database* db :
+       std::vector<const Database*>{&empty_relations, &no_relations}) {
+    EXPECT_EQ(AlgorithmCount(evaluator, q, *db), 0u);
+    EXPECT_EQ(BagSetCount(q, *db), 0u);
+    auto resilience = ComputeResilience(evaluator, q, Database(), *db);
+    ASSERT_TRUE(resilience.ok());
+    EXPECT_EQ(*resilience, BruteForceResilience(q, Database(), *db));
+  }
+
+  // Single-fact supports: exactly one satisfying assignment.
+  Database single;
+  single.AddFactOrDie("R", MakeTuple({1, 2}));
+  single.AddFactOrDie("S", MakeTuple({1, 3}));
+  single.AddFactOrDie("T", MakeTuple({1}));
+  EXPECT_EQ(AlgorithmCount(evaluator, q, single), 1u);
+  EXPECT_EQ(BagSetCount(q, single), 1u);
+  TidDatabase tid;
+  for (const Fact& fact : single.AllFacts()) {
+    tid.AddFactOrDie(fact.relation, fact.tuple, 0.5);
+  }
+  auto probability = EvaluateProbability(evaluator, q, tid);
+  ASSERT_TRUE(probability.ok());
+  ExpectClose(*probability, BruteForcePqe(q, tid), "single-fact pqe");
+  ExpectClose(*probability, 0.125, "single-fact pqe");
+
+  // One atom's relation missing while the others are populated.
+  const Database dropped = DropRelation(single, "S");
+  EXPECT_EQ(AlgorithmCount(evaluator, q, dropped), 0u);
+  EXPECT_EQ(BagSetCount(q, dropped), 0u);
 }
 
 // ------------------------------------------------------- service batches --
 
-TEST(StorageDifferential, ServiceBatchesMatchSingleThreadedPerBackend) {
-  // The service path adds shared annotation pools + AssignFrom replay on
-  // worker scratch; its answers must match the direct evaluator for every
-  // backend (and therefore across backends, by the tests above).
+TEST(OracleDifferential, ServiceBatchesMatchJoinEngine) {
+  // The service path adds shared annotation pools plus AssignFrom and
+  // AdoptFrom replay on worker scratch; its answers must match the join
+  // engine for every query.
   Rng rng(5000);
   std::vector<ConjunctiveQuery> queries;
   for (int i = 0; i < 12; ++i) {
@@ -267,18 +415,13 @@ TEST(StorageDifferential, ServiceBatchesMatchSingleThreadedPerBackend) {
     }
   }
 
-  for (StorageKind kind : kKinds) {
-    EvalService service(
-        EvalService::Options{.num_workers = 4, .storage = kind});
-    EXPECT_EQ(service.storage(), kind);
-    const auto batch = CountBatch(service, query_ptrs, db);
-    ASSERT_EQ(batch.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_TRUE(batch[i].ok()) << batch[i].status().ToString();
-      EXPECT_EQ(*batch[i], CountWith(kind, queries[i], db))
-          << "storage=" << StorageKindName(kind)
-          << " query=" << queries[i].ToString();
-    }
+  EvalService service(EvalService::Options{.num_workers = 4});
+  const auto batch = CountBatch(service, query_ptrs, db);
+  ASSERT_EQ(batch.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(batch[i].ok()) << batch[i].status().ToString();
+    EXPECT_EQ(*batch[i], BagSetCount(queries[i], db))
+        << "query=" << queries[i].ToString();
   }
 }
 

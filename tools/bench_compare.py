@@ -14,13 +14,27 @@ candidate value is 0 renders "n/a" with a warning instead of dividing by
 zero — a partially-written snapshot must not take the whole CI regression
 job down.
 
+Scaling gates are the other mode: each one is a ratio of two rows of the
+*same* snapshot, so it holds on any machine and can be tight where the
+cross-machine tripwire must stay loose:
+  * replay ns/fact at |D| = 300k must be <= 2x the value at |D| = 30k
+    (Algorithm 1 makes a constant number of hash passes per step, so its
+    cost is linear in |D|; paper Theorem 6.7);
+  * incremental count updates/sec at |D| = 300k must be >= 0.5x the rate
+    at |D| = 30k (single-fact updates of q-hierarchical queries take
+    constant time; Kara, Nikolic, Olteanu and Zhang, arXiv 1907.01988).
+A gate whose document or row is missing fails: a renamed row must not
+switch a gate off silently.
+
 Usage:
   tools/bench_compare.py OLD.json NEW.json [--metric METRIC] [--threshold X]
+  tools/bench_compare.py --scaling-gates BENCH.json [BENCH.json ...]
   tools/bench_compare.py --self-test
 
 Exit status: 0 normally; 2 with --threshold when any compared metric
 regressed by more than the given factor (e.g. --threshold 1.10 fails on a
->10% regression) — usable as a CI tripwire.
+>10% regression) — usable as a CI tripwire; 2 with --scaling-gates when
+any gate fails.
 """
 
 import argparse
@@ -67,6 +81,106 @@ def speedup(metric, old, new):
     return old / new if is_latency(metric) else new / old
 
 
+def replay_ns_per_fact(row):
+    rate = row.get("replays_per_sec", 0)
+    facts = row.get("num_facts", 0)
+    return 1e9 / (rate * facts) if rate > 0 and facts > 0 else None
+
+
+def update_rate(row):
+    return row.get("incremental_batches_per_sec")
+
+
+# (name, benchmark, small row, large row, value of a row, bound). The
+# bound is ("max", x): large/small <= x, or ("min", x): large/small >= x.
+SCALING_GATES = [
+    ("replay ns/fact 300k vs 30k", "algorithm1_ops",
+     "paper_query/30000/columnar", "paper_query/300000/columnar",
+     replay_ns_per_fact, ("max", 2.0)),
+    ("count update rate 300k vs 30k", "incremental",
+     "update/count/D=30000/batch=1", "update/count/D=300000/batch=1",
+     update_rate, ("min", 0.5)),
+]
+
+
+def check_scaling_gates(docs, gates=SCALING_GATES):
+    """Evaluates every gate against `docs` ({benchmark: rows}); returns
+    the list of failure messages (empty when all gates pass)."""
+    failures = []
+    for name, benchmark, small, large, value, (kind, bound) in gates:
+        rows = docs.get(benchmark)
+        if rows is None:
+            failures.append(f"{name}: no '{benchmark}' snapshot given")
+            continue
+        missing = [r for r in (small, large) if r not in rows]
+        if missing:
+            failures.append(f"{name}: missing row(s) {', '.join(missing)}")
+            continue
+        small_value = value(rows[small])
+        large_value = value(rows[large])
+        if not small_value or large_value is None:
+            failures.append(f"{name}: no usable value in {small} / {large}")
+            continue
+        ratio = large_value / small_value
+        ok = ratio <= bound if kind == "max" else ratio >= bound
+        relation = "<=" if kind == "max" else ">="
+        print(f"  {name}: {large_value:.6g} / {small_value:.6g} = "
+              f"{ratio:.3f}x (gate {relation} {bound}x) "
+              f"{'ok' if ok else 'FAIL'}")
+        if not ok:
+            failures.append(f"{name}: {ratio:.3f}x, gate {relation} "
+                            f"{bound}x")
+    return failures
+
+
+def scaling_gates_main(paths):
+    docs = {}
+    for path in paths:
+        doc, rows = load(path)
+        docs[doc.get("benchmark", path)] = rows
+    failures = check_scaling_gates(docs)
+    if failures:
+        print(f"\n{len(failures)} scaling gate(s) failed:", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        sys.exit(2)
+    print("bench_compare: all scaling gates pass")
+
+
+def self_test_scaling_gates():
+    """Pass, fail and missing-row cases for both gates."""
+    def algorithm1(small_rate, large_rate):
+        return {"paper_query/30000/columnar":
+                {"num_facts": 30000, "replays_per_sec": small_rate},
+                "paper_query/300000/columnar":
+                {"num_facts": 300000, "replays_per_sec": large_rate}}
+
+    def incremental(small_rate, large_rate):
+        return {"update/count/D=30000/batch=1":
+                {"incremental_batches_per_sec": small_rate},
+                "update/count/D=300000/batch=1":
+                {"incremental_batches_per_sec": large_rate}}
+
+    # Pass: ns/fact grows 1.5x over 10x the facts; updates keep 0.65x.
+    assert check_scaling_gates({"algorithm1_ops": algorithm1(450, 30),
+                                "incremental": incremental(4e5, 2.6e5)}) \
+        == []
+    # Fail: ns/fact grows 3x; updates fall to 0.09x (an O(|D|) erase).
+    failures = check_scaling_gates({"algorithm1_ops": algorithm1(450, 15),
+                                    "incremental": incremental(4.8e4, 4.4e3)})
+    assert len(failures) == 2, failures
+    assert "replay ns/fact" in failures[0], failures
+    assert "count update rate" in failures[1], failures
+    # Missing row and missing document both fail, never pass silently.
+    rows = incremental(4e5, 2.6e5)
+    del rows["update/count/D=300000/batch=1"]
+    failures = check_scaling_gates({"incremental": rows})
+    assert len(failures) == 2, failures
+    assert "no 'algorithm1_ops' snapshot" in failures[0], failures
+    assert "missing row(s) update/count/D=300000/batch=1" in failures[1], \
+        failures
+
+
 def self_test():
     """In-process checks for the zero/missing-metric hardening. Exercises
     the exact shapes that used to crash: a row without a "name", a row
@@ -101,6 +215,7 @@ def self_test():
     # crash and must exit 0 even with a tight threshold.
     sys.argv = ["bench_compare.py", path, path, "--threshold", "1.05"]
     main()
+    self_test_scaling_gates()
     print("bench_compare: self-test OK")
 
 
@@ -165,5 +280,9 @@ def main():
 if __name__ == "__main__":
     if "--self-test" in sys.argv:
         self_test()
+    elif len(sys.argv) > 1 and sys.argv[1] == "--scaling-gates":
+        if len(sys.argv) < 3:
+            sys.exit("usage: bench_compare.py --scaling-gates BENCH.json ...")
+        scaling_gates_main(sys.argv[2:])
     else:
         main()

@@ -3,32 +3,12 @@
 // Solves any of the library's problems from a query string and database
 // files in the text format of hierarq/data/loader.h.
 //
-// A global `--storage=flat|columnar|baseline|sharded|sharded_columnar`
-// flag (anywhere on the command line) selects the relation storage
-// backend every Algorithm 1 run stores its supports in; the default is
-// the build's compile-time policy (flat unless configured otherwise).
-//
-// A global `--threads=N` flag (N >= 1) sets intra-query parallelism:
-// single-query commands and update-mode view materialization fan each
-// big Rule 1/Rule 2 step out over N threads (core/parallel.h), and batch
-// mode additionally routes single-huge-replay groups through the same
-// machinery. `--threads=1` (the default) is the bit-identical serial
-// path. Batch mode's trailing [workers] argument still sizes the
-// across-query worker pool independently.
-//
-// A global `--adaptive` flag replaces hand-picked knobs with per-step
-// decisions (core/adaptive.h): cheap stats plus a calibrated cost model
-// — refined by measured feedback on replays — choose each elimination
-// step's backend, thread count, and serial/parallel cutoff.
-// `--threads=N` then caps the fan-out (default: detected hardware
-// concurrency); `--storage` still governs base-relation annotation.
-// Results are identical to every fixed configuration (bit-identical for
-// exact monoids).
+// Batch mode's trailing [workers] argument sizes the across-query worker
+// pool.
 //
 // Observability (obs/): `--explain` prints an EXPLAIN ANALYZE tree after
-// the run — the elimination plan annotated with each step's backend,
-// thread count, rows in/out, wall time, SIMD tier, and (under
-// --adaptive) the predicted-vs-chosen decision. `--trace=FILE` records
+// the run — the elimination plan annotated with each step's rows in/out,
+// wall time, and SIMD tier. `--trace=FILE` records
 // the same per-step spans and writes Chrome trace-event JSON for
 // chrome://tracing / Perfetto. `--metrics` dumps the metrics registry to
 // stderr on exit.
@@ -99,7 +79,7 @@ namespace hierarq {
 namespace {
 
 /// Observability flags (--explain / --trace=FILE / --metrics), peeled off
-/// the command line alongside --storage/--threads/--adaptive.
+/// the command line wherever they appear.
 struct ObsOptions {
   bool explain = false;     ///< Print EXPLAIN ANALYZE after the run.
   std::string trace_path;   ///< Chrome trace-event JSON output, if set.
@@ -118,9 +98,8 @@ struct ClientOptions {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: hierarq_cli [--storage=flat|columnar|baseline|"
-               "sharded|sharded_columnar] [--threads=N] [--adaptive] "
-               "<command> <query> [files...]\n"
+               "usage: hierarq_cli [options] <command> <query> "
+               "[files...]\n"
                "commands:\n"
                "  classify   <query>\n"
                "  plan       <query>\n"
@@ -159,17 +138,9 @@ int Usage() {
                "  client <host:port> ping\n"
                "  client <host:port> shutdown\n"
                "options:\n"
-               "  --storage=flat|columnar|baseline|sharded|"
-               "sharded_columnar   relation storage backend (default: %s)\n"
-               "  --threads=N   intra-query parallelism (default 1 = "
-               "serial; N>1 shards big Rule 1/2 steps across N threads)\n"
-               "  --adaptive    per-step adaptive execution: stats + cost "
-               "model pick backend/threads/cutoff per elimination step "
-               "(--threads then caps the fan-out)\n"
                "  --explain     print EXPLAIN ANALYZE after the run: the "
-               "plan tree with per-step backend/threads/rows/time (and the "
-               "adaptive predicted-vs-chosen decision); not available in "
-               "batch mode\n"
+               "plan tree with per-step rows/time/SIMD tier; not available "
+               "in batch mode\n"
                "  --trace=FILE  record per-step spans and write Chrome "
                "trace-event JSON to FILE (load in chrome://tracing or "
                "Perfetto)\n"
@@ -187,8 +158,7 @@ int Usage() {
                "time, plan-cache hit) after the result\n"
                "  --retries=N          (client) retry a query up to N "
                "times with jittered exponential backoff when the server's "
-               "admission queue is full (default 0 = fail fast)\n",
-               StorageKindName(kDefaultStorageKind));
+               "admission queue is full (default 0 = fail fast)\n");
   return 2;
 }
 
@@ -255,8 +225,7 @@ void PrintServiceStats(const EvalService& service, size_t num_workers) {
 }
 
 /// `hierarq_cli batch <solver> <queries-file> <dbs...> [workers]`.
-int RunBatch(int argc, char** argv, StorageKind storage, size_t threads,
-             bool adaptive, const ObsOptions& obs) {
+int RunBatch(int argc, char** argv, const ObsOptions& obs) {
   if (argc < 5) {
     return Usage();
   }
@@ -294,9 +263,6 @@ int RunBatch(int argc, char** argv, StorageKind storage, size_t threads,
   Dictionary dict;
   EvalService::Options service_options;
   service_options.num_workers = workers;
-  service_options.storage = storage;
-  service_options.intra_query_threads = threads;
-  service_options.adaptive = adaptive;
   EvalService service(service_options);
 
   // Renders one result line per query; errors are reported inline so one
@@ -392,11 +358,9 @@ int RunBatch(int argc, char** argv, StorageKind storage, size_t threads,
 template <TwoMonoid M, typename Render>
 int RunUpdateLoop(const ConjunctiveQuery& query, VersionedDatabase db,
                   M monoid, typename IncrementalView<M>::Annotator annotator,
-                  StorageKind storage, size_t threads, bool adaptive,
                   const ObsOptions& obs, Dictionary* dict, Render render) {
   IncrementalEvaluator<M> evaluator(std::move(monoid), &db,
-                                    std::move(annotator),
-                                    {storage, threads, adaptive});
+                                    std::move(annotator));
   auto handle = evaluator.Attach(query);
   if (!handle.ok()) {
     return Fail(handle.status());
@@ -846,8 +810,7 @@ int RunClient(int argc, char** argv, const ClientOptions& options) {
 }
 
 /// `hierarq_cli update <solver> <query> <db>`.
-int RunUpdate(int argc, char** argv, StorageKind storage, size_t threads,
-              bool adaptive, const ObsOptions& obs) {
+int RunUpdate(int argc, char** argv, const ObsOptions& obs) {
   if (argc != 5) {
     return Usage();
   }
@@ -873,8 +836,8 @@ int RunUpdate(int argc, char** argv, StorageKind storage, size_t threads,
     }
     return RunUpdateLoop(
         query, VersionedDatabase(*std::move(db)), CountMonoid{},
-        [](const Fact&, double) -> uint64_t { return 1; }, storage,
-        threads, adaptive, obs, &dict, [](uint64_t value) {
+        [](const Fact&, double) -> uint64_t { return 1; }, obs, &dict,
+        [](uint64_t value) {
           return "Q(D) = " + std::to_string(value);
         });
   }
@@ -897,12 +860,10 @@ int RunUpdate(int argc, char** argv, StorageKind storage, size_t threads,
   };
   if (solver == "pqe") {
     return RunUpdateLoop(query, VersionedDatabase(*db), ProbMonoid{},
-                         weight_annotator, storage, threads, adaptive, obs,
-                         &dict, render_double);
+                         weight_annotator, obs, &dict, render_double);
   }
   return RunUpdateLoop(query, VersionedDatabase(*db), ExpectationMonoid{},
-                       weight_annotator, storage, threads, adaptive, obs,
-                       &dict, render_double);
+                       weight_annotator, obs, &dict, render_double);
 }
 
 /// `snapshot <db> <dir>`: load a database file and commit it as a
@@ -963,48 +924,15 @@ int RunRecover(int argc, char** argv) {
 }
 
 int Run(int argc, char** argv) {
-  // Peel the global --storage / --threads flags off wherever they
-  // appear, leaving the positional arguments in place. Unknown backends,
-  // bad thread counts, and unknown --flags are errors, not silent
-  // fallbacks to defaults.
-  StorageKind storage = kDefaultStorageKind;
-  size_t threads = 1;
-  bool adaptive = false;
+  // Peel the global flags off wherever they appear, leaving the
+  // positional arguments in place. Bad values and unknown --flags are
+  // errors, not silent fallbacks to defaults.
   ObsOptions obs;
   ClientOptions client_options;
   std::vector<char*> args;
   args.reserve(static_cast<size_t>(argc));
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg(argv[i]);
-    if (arg.rfind("--storage=", 0) == 0) {
-      const auto parsed_kind = ParseStorageKind(arg.substr(10));
-      if (!parsed_kind.has_value()) {
-        std::fprintf(stderr,
-                     "error: unknown storage backend in '%s' (expected "
-                     "flat, columnar, baseline, sharded or "
-                     "sharded_columnar)\n",
-                     argv[i]);
-        return Usage();
-      }
-      storage = *parsed_kind;
-      continue;
-    }
-    if (arg.rfind("--threads=", 0) == 0) {
-      const auto parsed_threads = ParseInt64(arg.substr(10));
-      if (!parsed_threads.ok() || *parsed_threads < 1) {
-        std::fprintf(stderr,
-                     "error: bad thread count in '%s' (expected an "
-                     "integer >= 1)\n",
-                     argv[i]);
-        return Usage();
-      }
-      threads = static_cast<size_t>(*parsed_threads);
-      continue;
-    }
-    if (arg == "--adaptive") {
-      adaptive = true;
-      continue;
-    }
     if (arg == "--explain") {
       obs.explain = true;
       continue;
@@ -1111,10 +1039,10 @@ int Run(int argc, char** argv) {
   };
 
   if (command == "batch") {
-    return finish(RunBatch(argc, argv, storage, threads, adaptive, obs));
+    return finish(RunBatch(argc, argv, obs));
   }
   if (command == "update") {
-    return finish(RunUpdate(argc, argv, storage, threads, adaptive, obs));
+    return finish(RunUpdate(argc, argv, obs));
   }
   if (command == "client") {
     return finish(RunClient(argc, argv, client_options));
@@ -1136,13 +1064,8 @@ int Run(int argc, char** argv) {
   const int rc = [&]() -> int {
   // One evaluator for the whole invocation: any command that runs
   // Algorithm 1 more than once (shapley above all) shares its cached plan
-  // and relation buffers. --threads applies to every Algorithm 1 run it
-  // performs.
-  Evaluator::Options evaluator_options;
-  evaluator_options.storage = storage;
-  evaluator_options.intra_query_threads = threads;
-  evaluator_options.adaptive = adaptive;
-  Evaluator evaluator(evaluator_options);
+  // and relation buffers.
+  Evaluator evaluator;
 
   auto load = [&dict](const char* path) {
     return LoadDatabaseFromFile(path, &dict);
@@ -1184,8 +1107,8 @@ int Run(int argc, char** argv) {
     std::printf("Q(D) = %llu  (join engine)\n",
                 static_cast<unsigned long long>(BagSetCount(query, *db)));
     // The shared evaluator (not BagSetCountHierarchical) so the fast
-    // path honors --threads/--adaptive and shows up under --explain;
-    // both are Algorithm 1 in the counting semiring with annotation 1.
+    // path shows up under --explain; both are Algorithm 1 in the counting
+    // semiring with annotation 1.
     auto fast = evaluator.Evaluate<CountMonoid>(
         query, CountMonoid{}, *db, [](const Fact&) -> uint64_t { return 1; });
     if (fast.ok()) {
@@ -1232,9 +1155,8 @@ int Run(int argc, char** argv) {
     if (!budget.ok() || *budget < 0) {
       return Usage();
     }
-    auto result = MaximizeBagSet(query, *d, *dr,
-                                 static_cast<size_t>(*budget),
-                                 /*costs=*/nullptr, storage);
+    auto result =
+        MaximizeBagSet(query, *d, *dr, static_cast<size_t>(*budget));
     if (!result.ok()) {
       return Fail(result.status());
     }

@@ -29,10 +29,6 @@
 //   --submitters=N     async submitter threads (default 2)
 //   --queue-limit=N    admission queue depth (default 64; full = reject)
 //   --deadline-ms=N    default per-request deadline (0 = unbounded)
-//   --storage=KIND     relation storage backend (flat|columnar|baseline|
-//                      sharded|sharded_columnar)
-//   --threads=N        intra-query parallelism for single huge replays
-//   --adaptive         per-step adaptive execution
 //   --slow-query-ms=N  log any query at or over N ms of evaluation wall
 //                      time (query text, QueryStats, EXPLAIN ANALYZE);
 //                      0 logs every query, unset disables the log
@@ -56,7 +52,6 @@
 #include <thread>
 
 #include "hierarq/data/loader.h"
-#include "hierarq/data/storage.h"
 #include "hierarq/incremental/versioned_database.h"
 #include "hierarq/net/server.h"
 #include "hierarq/obs/log.h"
@@ -74,9 +69,7 @@ int Usage() {
       "                      [--max-connections=N]\n"
       "                      [--workers=N] [--submitters=N] "
       "[--queue-limit=N]\n"
-      "                      [--deadline-ms=N] [--storage=KIND] "
-      "[--threads=N]\n"
-      "                      [--adaptive] [--slow-query-ms=N] "
+      "                      [--deadline-ms=N] [--slow-query-ms=N] "
       "[--log-json]\n");
   return 2;
 }
@@ -103,9 +96,6 @@ int Run(int argc, char** argv) {
   uint64_t snapshot_every = 256;
   bool tid = false;
   net::HierarqServer::Options options;
-  StorageKind storage = kDefaultStorageKind;
-  size_t threads = 1;
-  bool adaptive = false;
   bool log_json = false;
 
   const auto parse_count = [](std::string_view text, int64_t min,
@@ -173,20 +163,6 @@ int Run(int argc, char** argv) {
         return Usage();
       }
       options.async.default_deadline_ms = static_cast<uint64_t>(n);
-    } else if (arg.rfind("--storage=", 0) == 0) {
-      const auto parsed_kind = ParseStorageKind(arg.substr(10));
-      if (!parsed_kind.has_value()) {
-        std::fprintf(stderr, "error: unknown storage backend in '%s'\n",
-                     argv[i]);
-        return Usage();
-      }
-      storage = *parsed_kind;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!parse_count(arg.substr(10), 1, &n)) {
-        std::fprintf(stderr, "error: bad thread count in '%s'\n", argv[i]);
-        return Usage();
-      }
-      threads = static_cast<size_t>(n);
     } else if (arg.rfind("--slow-query-ms=", 0) == 0) {
       if (!parse_count(arg.substr(16), 0, &n)) {
         std::fprintf(stderr, "error: bad slow-query threshold in '%s'\n",
@@ -196,8 +172,6 @@ int Run(int argc, char** argv) {
       options.slow_query_ms = n;
     } else if (arg == "--log-json") {
       log_json = true;
-    } else if (arg == "--adaptive") {
-      adaptive = true;
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", argv[i]);
       return Usage();
@@ -207,9 +181,6 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: --db=FILE (or --data-dir=DIR) is required\n");
     return Usage();
   }
-  options.async.service.storage = storage;
-  options.async.service.intra_query_threads = threads;
-  options.async.service.adaptive = adaptive;
 
   // Startup-only: the global logger carries every structured event from
   // here on (lifecycle, slow queries, protocol errors), all on stderr so
