@@ -88,8 +88,9 @@ void Report() {
 /// to compare against. Two measures per size:
 ///   * evals_per_sec — full evaluation: base-relation annotation + rule
 ///     replay (the per-request cost of a cold database);
-///   * replays_per_sec — data-phase replay only, against a pre-annotated
-///     pool (AssignFrom copy + Rule 1/Rule 2 execution).
+///   * replays_per_sec — data-phase replay only, reading a pre-annotated
+///     pool in place (Rule 1/Rule 2 execution, fused where the plan
+///     links a Rule 2 step to the Rule 1 that consumes it).
 /// "ops" are processed facts: evaluations/sec × |D|. The ratio of the
 /// replay ns/fact at the largest and smallest scale is a CI scaling gate
 /// (tools/bench_compare.py --scaling-gates).

@@ -151,12 +151,10 @@ void Report() {
                 {{"annotation_scans", static_cast<double>(scans_per_batch)},
                  {"batch_ms", batched_ms}});
 
-  // ---- (c) Zero-copy singleton replay. -------------------------------
-  // A single-query group makes every pool entry a singleton, so the
-  // replay *moves* the annotations into worker scratch instead of copying
-  // — the copy was the service's main single-query overhead versus a bare
-  // Evaluator. Both paths below annotate per call; the residual gap is
-  // service plumbing.
+  // ---- (c) Single-query groups. -------------------------------------
+  // A single-query group is the wire protocol's shape. The service reads
+  // its pool entries in place, so against a bare Evaluator it adds only
+  // plumbing. Both paths below annotate per call.
   {
     const ConjunctiveQuery& single = queries.front();  // 3 atoms.
     Evaluator bare;
@@ -164,26 +162,20 @@ void Report() {
       benchmark::DoNotOptimize(
           bare.Evaluate<CountMonoid>(single, monoid, db, annotator));
     });
-    EvalService move_service(EvalService::Options{.num_workers = 1});
+    EvalService single_service(EvalService::Options{.num_workers = 1});
     const std::vector<const ConjunctiveQuery*> single_ptr = {&single};
     const double service_qps = bench::MeasureRate([&] {
-      benchmark::DoNotOptimize(move_service.EvaluateMany<CountMonoid>(
+      benchmark::DoNotOptimize(single_service.EvaluateMany<CountMonoid>(
           monoid, single_ptr, db, annotator));
     });
-    const ServiceStats move_stats = move_service.stats();
-    const double moves_per_batch =
-        static_cast<double>(move_stats.singleton_moves) /
-        static_cast<double>(move_stats.batches);
     char measured[96];
-    std::snprintf(measured, sizeof(measured),
-                  "%7.1f q/s vs bare %7.1f q/s (%.0f moves/batch)",
-                  service_qps, bare_qps, moves_per_batch);
-    PrintRow("single-query batch, zero-copy replay", "~bare evaluator",
+    std::snprintf(measured, sizeof(measured), "%7.1f q/s vs bare %7.1f q/s",
+                  service_qps, bare_qps);
+    PrintRow("single-query batch, in-place replay", "~bare evaluator",
              measured);
     report.AddRow("singleton/bare_evaluator", {{"queries_per_sec", bare_qps}});
-    report.AddRow("singleton/service_moved",
+    report.AddRow("singleton/service",
                   {{"queries_per_sec", service_qps},
-                   {"moves_per_batch", moves_per_batch},
                    {"service_vs_bare", service_qps / bare_qps}});
   }
 

@@ -22,9 +22,11 @@
 /// The data phase splits once more for multi-query batching (the service
 /// layer, service/eval_service.h): `AnnotateForQuerySet` annotates the
 /// base relations once for a whole set of queries, and `ReplayPlan`
-/// replays one query's plan against those shared annotations. An Evaluator
-/// is single-threaded by design (one per worker); plans are immutable
-/// after build, so workers share a thread-safe `PlanProvider`
+/// replays one query's plan against those shared annotations, reading
+/// them in place: a replay copies no base relation, and its scratch holds
+/// only the plan's intermediates (`scratch_bytes`). An Evaluator is
+/// single-threaded by design (one per worker); plans are immutable after
+/// build, so workers share a thread-safe `PlanProvider`
 /// (service/shared_plan_cache.h) while each keeps private scratch. Every
 /// evaluation ends in the one serial step loop, `RunAlgorithm1InPlace`
 /// (core/algorithm1.h); parallelism lives a level up, across queries
@@ -77,8 +79,9 @@ std::string AtomAnnotationSignature(const Atom& atom);
 /// one database: the annotate-once half of the batching split. Entries are
 /// keyed by `AtomAnnotationSignature`, so atoms that differ only in
 /// variable names — R(A,B) in one query, R(X,Y) in another — share one
-/// annotated relation; replay re-labels the schema per query
-/// (`AnnotatedRelation::AssignFrom`).
+/// annotated relation. An entry keeps the variable labels of the atom
+/// that first annotated it; replays read it in place and check schemas
+/// against their own plan, so the labels never matter.
 template <typename K>
 struct AnnotationPool {
   std::unordered_map<std::string, AnnotatedRelation<K>> by_signature;
@@ -97,8 +100,8 @@ struct AnnotationPool {
 /// distinct *missing* signature. Signatures already pooled — by an earlier
 /// call against the same database snapshot, e.g. through the service
 /// layer's generation-keyed annotation cache — are counted in
-/// `pool->reused` and not re-scanned. Replays copy pool relations out via
-/// `AssignFrom`.
+/// `pool->reused` and not re-scanned. Replays read pool relations in
+/// place (`Evaluator::ReplayPlan`).
 template <typename K, typename Combine>
 void AnnotateForQuerySetInto(
     const std::vector<const ConjunctiveQuery*>& queries,
@@ -157,66 +160,6 @@ std::vector<const AnnotatedRelation<K>*> ResolveBases(
   return bases;
 }
 
-/// One base-relation input of a plan replay: the shared annotation to
-/// read, plus — when the pool entry serves exactly one atom of one query
-/// in the batch group — a mutable alias the replay may *move* from
-/// instead of copying (`AnnotatedRelation::AdoptFrom`). The copy is the
-/// service's main single-query overhead versus a bare `Evaluator`, and a
-/// singleton entry has no other reader, so moving it is free sharing.
-template <typename K>
-struct ReplaySource {
-  const AnnotatedRelation<K>* shared = nullptr;  ///< Always set.
-  AnnotatedRelation<K>* movable = nullptr;  ///< Non-null iff exclusive.
-};
-
-/// The per-query replay inputs of a whole batch group, plus how many pool
-/// entries were marked movable.
-template <typename K>
-struct ReplaySourceSet {
-  std::vector<std::vector<ReplaySource<K>>> per_query;  ///< Query order.
-  size_t movable = 0;  ///< Slots eligible for zero-copy adoption.
-};
-
-/// Resolves every query's replay sources from `pool` in one pass, marking
-/// pool entries used by exactly one (query, atom) pair as movable when
-/// `allow_moves` (the caller must guarantee the pool dies with the group
-/// and is not shared beyond it — cached pools pass false). Workers then
-/// adopt movable entries instead of copying; distinct map values are
-/// touched by distinct workers, so the shared map needs no lock.
-template <typename K>
-ReplaySourceSet<K> ResolveReplaySources(
-    const std::vector<const ConjunctiveQuery*>& queries,
-    AnnotationPool<K>* pool, bool allow_moves) {
-  ReplaySourceSet<K> out;
-  out.per_query.resize(queries.size());
-  std::unordered_map<AnnotatedRelation<K>*, size_t> uses;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    std::vector<ReplaySource<K>>& sources = out.per_query[i];
-    sources.reserve(queries[i]->num_atoms());
-    for (const Atom& atom : queries[i]->atoms()) {
-      const std::string signature = AtomAnnotationSignature(atom);
-      auto it = pool->by_signature.find(signature);
-      HIERARQ_CHECK(it != pool->by_signature.end())
-          << "annotation pool lacks " << signature;
-      ++uses[&it->second];
-      sources.push_back(ReplaySource<K>{&it->second, nullptr});
-    }
-  }
-  if (allow_moves) {
-    for (std::vector<ReplaySource<K>>& sources : out.per_query) {
-      for (ReplaySource<K>& source : sources) {
-        AnnotatedRelation<K>* entry =
-            const_cast<AnnotatedRelation<K>*>(source.shared);
-        if (uses[entry] == 1) {
-          source.movable = entry;
-          ++out.movable;
-        }
-      }
-    }
-  }
-  return out;
-}
-
 class Evaluator : public PlanProvider {
  public:
   /// Cache observability, used by tests and ops counters.
@@ -248,9 +191,10 @@ class Evaluator : public PlanProvider {
       const ConjunctiveQuery& query) override;
 
   /// Evaluates `query` over `facts` in the given 2-monoid: annotates each
-  /// matching fact with `annotator(fact)` (duplicates ⊕-merge) and replays
-  /// the cached plan. Equivalent to RunAlgorithm1OnQuery, minus the
-  /// repeated plan builds and table allocations.
+  /// matching fact with `annotator(fact)` (duplicates ⊕-merge) into this
+  /// evaluator's own base tables and replays the cached plan over them.
+  /// Equivalent to RunAlgorithm1OnQuery, minus the repeated plan builds
+  /// and table allocations.
   template <TwoMonoid M>
   Result<typename M::value_type> Evaluate(
       const ConjunctiveQuery& query, const M& monoid, const Database& facts,
@@ -258,32 +202,35 @@ class Evaluator : public PlanProvider {
     using K = typename M::value_type;
     HIERARQ_ASSIGN_OR_RETURN(const EliminationPlan* plan, GetPlan(query));
 
-    std::vector<AnnotatedRelation<K>>& relations = ScratchForPlan<K>(*plan);
+    Scratch<K>& scratch = ScratchForPlan<K>(*plan);
     const auto plus = [&monoid](const K& a, const K& b) {
       return monoid.Plus(a, b);
     };
+    scratch.bases.clear();
     for (size_t i = 0; i < plan->num_base_atoms(); ++i) {
       const Atom& atom = query.atoms()[i];
-      relations[i].Reset(atom.vars());
+      AnnotatedRelation<K>& table = scratch.relations[i];
+      table.Reset(atom.vars());
       const Relation* relation = facts.FindRelation(atom.relation());
       if (relation != nullptr) {
-        relations[i].Reserve(relation->size());
-        AnnotateAtom<K>(atom, *relation, annotator, plus, &relations[i]);
+        table.Reserve(relation->size());
+        AnnotateAtom<K>(atom, *relation, annotator, plus, &table);
       }
+      scratch.bases.push_back(&table);
     }
 
     ++stats_.evaluations;
-    return Run(*plan, monoid, relations);
+    return Run(*plan, monoid, scratch.bases, scratch.relations);
   }
 
-  /// The replay-many half of the batching split: copies each base atom's
-  /// shared annotation (one pre-resolved pointer per base atom, in atom
-  /// order — e.g. looked up in an AnnotationPool once per group, on the
-  /// caller thread, so workers never build signature strings) into this
-  /// evaluator's scratch, re-labelled with this query's variables, and
-  /// replays `plan`. The shared relations are only read, so concurrent
-  /// replays against them are safe as long as each runs on its own
-  /// Evaluator. Precondition: `plan` is the plan of `query`.
+  /// The replay-many half of the batching split: replays `plan` over
+  /// shared base annotations (one pre-resolved pointer per base atom, in
+  /// atom order — e.g. looked up in an AnnotationPool once per group, on
+  /// the caller thread, so workers never build signature strings). The
+  /// bases are read in place and never written, so any number of
+  /// concurrent replays may share them as long as each runs on its own
+  /// Evaluator; only intermediates go to this evaluator's scratch.
+  /// Precondition: `plan` is the plan of `query`.
   template <TwoMonoid M>
   typename M::value_type ReplayPlan(
       const EliminationPlan& plan, const M& monoid,
@@ -292,40 +239,14 @@ class Evaluator : public PlanProvider {
           bases) {
     using K = typename M::value_type;
     HIERARQ_CHECK_EQ(bases.size(), plan.num_base_atoms());
-    std::vector<AnnotatedRelation<K>>& relations = ScratchForPlan<K>(plan);
     for (size_t i = 0; i < plan.num_base_atoms(); ++i) {
       HIERARQ_CHECK(bases[i] != nullptr);
-      relations[i].AssignFrom(*bases[i], query.atoms()[i].vars());
+      HIERARQ_CHECK_EQ(bases[i]->schema().size(),
+                       query.atoms()[i].vars().size());
     }
+    Scratch<K>& scratch = ScratchForPlan<K>(plan);
     ++stats_.evaluations;
-    return Run(plan, monoid, relations);
-  }
-
-  /// ReplayPlan over `ReplaySource`s: base relations marked movable are
-  /// *adopted* into scratch (wholesale buffer steal, leaving the pool
-  /// entry empty) instead of copied — the zero-copy path for annotation
-  /// pool entries that serve exactly one query in their group. Shared
-  /// (non-movable) entries are copied exactly as the pointer overload
-  /// does.
-  template <TwoMonoid M>
-  typename M::value_type ReplayPlan(
-      const EliminationPlan& plan, const M& monoid,
-      const ConjunctiveQuery& query,
-      const std::vector<ReplaySource<typename M::value_type>>& bases) {
-    using K = typename M::value_type;
-    HIERARQ_CHECK_EQ(bases.size(), plan.num_base_atoms());
-    std::vector<AnnotatedRelation<K>>& relations = ScratchForPlan<K>(plan);
-    for (size_t i = 0; i < plan.num_base_atoms(); ++i) {
-      HIERARQ_CHECK(bases[i].shared != nullptr);
-      if (bases[i].movable != nullptr) {
-        relations[i].AdoptFrom(std::move(*bases[i].movable),
-                               query.atoms()[i].vars());
-      } else {
-        relations[i].AssignFrom(*bases[i].shared, query.atoms()[i].vars());
-      }
-    }
-    ++stats_.evaluations;
-    return Run(plan, monoid, relations);
+    return Run(plan, monoid, bases, scratch.relations);
   }
 
   /// Convenience overload resolving the base relations from `pool` by
@@ -345,6 +266,17 @@ class Evaluator : public PlanProvider {
   /// are delegated to a shared provider).
   size_t num_cached_plans() const { return plans_.size(); }
 
+  /// Bytes held by this evaluator's scratch tables, over every monoid
+  /// domain it has run (AnnotatedRelation::bytes): intermediates, plus
+  /// the base tables `Evaluate` annotates. Replays add no base tables.
+  size_t scratch_bytes() const {
+    size_t total = 0;
+    for (const auto& [type, scratch] : scratch_) {
+      total += scratch->bytes();
+    }
+    return total;
+  }
+
   /// Drops all locally cached plans and scratch buffers. A shared plan
   /// provider, if any, is not touched.
   void ClearCache();
@@ -357,6 +289,8 @@ class Evaluator : public PlanProvider {
   template <TwoMonoid M>
   typename M::value_type Run(
       const EliminationPlan& plan, const M& monoid,
+      const std::vector<const AnnotatedRelation<typename M::value_type>*>&
+          bases,
       std::vector<AnnotatedRelation<typename M::value_type>>& relations) {
     static obs::Counter* const evaluations =
         obs::MetricsRegistry::Global().GetCounter("evaluator.evaluations");
@@ -370,7 +304,7 @@ class Evaluator : public PlanProvider {
     const uint64_t start_ns =
         query_stats != nullptr ? obs::Tracer::NowNs() : 0;
     typename M::value_type value =
-        RunAlgorithm1InPlace(plan, monoid, relations);
+        RunAlgorithm1InPlace(plan, monoid, bases, relations);
     if (query_stats != nullptr) {
       query_stats->exec_ns += obs::Tracer::NowNs() - start_ns;
     }
@@ -379,37 +313,48 @@ class Evaluator : public PlanProvider {
 
   struct ScratchBase {
     virtual ~ScratchBase() = default;
+    virtual size_t bytes() const = 0;
   };
+  /// One monoid domain's tables, indexed by plan atom id: `Evaluate`'s
+  /// annotated base tables in the base slots (replays leave those slots
+  /// alone), intermediates above them.
   template <typename K>
   struct Scratch : ScratchBase {
     std::vector<AnnotatedRelation<K>> relations;
+    std::vector<const AnnotatedRelation<K>*> bases;  ///< Evaluate's inputs.
+    size_t bytes() const override {
+      size_t total = 0;
+      for (const AnnotatedRelation<K>& relation : relations) {
+        total += relation.bytes();
+      }
+      return total;
+    }
   };
 
-  /// The reusable relations vector for annotation type K. One live scratch
-  /// per K: evaluating in a new monoid domain does not invalidate others.
+  /// The scratch for annotation type K. One live scratch per K:
+  /// evaluating in a new monoid domain does not invalidate others.
   template <typename K>
-  std::vector<AnnotatedRelation<K>>& ScratchFor() {
+  Scratch<K>& ScratchFor() {
     std::unique_ptr<ScratchBase>& slot = scratch_[std::type_index(typeid(K))];
     if (slot == nullptr) {
       slot = std::make_unique<Scratch<K>>();
     }
-    return static_cast<Scratch<K>*>(slot.get())->relations;
+    return *static_cast<Scratch<K>*>(slot.get());
   }
 
   /// Scratch sized for `plan`, shrinking or growing while keeping the
   /// common prefix: consecutive queries with different atom counts reuse
-  /// the prefix tables' slot arrays instead of reallocating every table
-  /// (the old `assign` dropped them all on any size change). Stale entries
-  /// in kept tables are harmless — every base slot is Reset by the caller
-  /// and every intermediate slot is Reset by its step before use.
+  /// the prefix tables' slot arrays instead of reallocating every table.
+  /// Stale entries in kept tables are harmless — `Evaluate` Resets every
+  /// base slot it reads and every intermediate slot is Reset by its step
+  /// before use.
   template <typename K>
-  std::vector<AnnotatedRelation<K>>& ScratchForPlan(
-      const EliminationPlan& plan) {
-    std::vector<AnnotatedRelation<K>>& relations = ScratchFor<K>();
-    if (relations.size() != plan.num_atoms()) {
-      relations.resize(plan.num_atoms());
+  Scratch<K>& ScratchForPlan(const EliminationPlan& plan) {
+    Scratch<K>& scratch = ScratchFor<K>();
+    if (scratch.relations.size() != plan.num_atoms()) {
+      scratch.relations.resize(plan.num_atoms());
     }
-    return relations;
+    return scratch;
   }
 
   PlanProvider* shared_plans_ = nullptr;  // Non-owning; nullptr = private.

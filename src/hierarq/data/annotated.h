@@ -15,11 +15,13 @@
 /// `AnnotatedRelation` stores its support in a `ColumnarStore`
 /// (data/columnar.h): one value vector per schema position, one
 /// annotation vector, and a row-id hash index. Its interface is
-/// `Find` / `FindOrInsert` / `Merge` / `Erase` / `Reset` / `AssignFrom`
-/// plus the two Algorithm 1 bulk operations, `ProjectDropInto` (Rule 1)
-/// and `JoinUnionInto` (Rule 2). The oracle differential suite
-/// (tests/storage_differential_test.cpp) checks every solver built on it
-/// against the engine/ reference implementations.
+/// `Find` / `FindOrInsert` / `Merge` / `Erase` / `Reset` plus the two
+/// Algorithm 1 bulk operations, `ProjectDropInto` (Rule 1) and
+/// `JoinUnionInto` (Rule 2); the batch step loop (core/algorithm1.h)
+/// drives the store natives directly through `store()`, because a shared
+/// base relation may carry another query's variable labels. The oracle
+/// differential suite (tests/storage_differential_test.cpp) checks every
+/// solver built on it against the engine/ reference implementations.
 
 #include <functional>
 #include <utility>
@@ -48,6 +50,15 @@ class AnnotatedRelation {
   /// |supp(R)| — the number of stored (non-zero) facts.
   size_t size() const { return store_.size(); }
   bool empty() const { return store_.empty(); }
+
+  /// Bytes held for the support (ColumnarStore::bytes).
+  size_t bytes() const { return store_.bytes(); }
+
+  /// The underlying store, for the Algorithm 1 step loop. Its schema
+  /// checks run against the plan, since a shared base relation keeps the
+  /// variable labels of the first query that annotated it.
+  const ColumnarStore<K>& store() const { return store_; }
+  ColumnarStore<K>* mutable_store() { return &store_; }
 
   /// Sets the annotation of `key` (inserting or overwriting).
   void Set(const Tuple& key, K value) {
@@ -98,31 +109,6 @@ class AnnotatedRelation {
   void Reset(const VarSet& schema) {
     schema_ = schema;
     store_.Reset(schema_.size());
-  }
-
-  /// Replaces this relation's contents with a copy of `other`'s entries,
-  /// re-labelled with `schema` (same arity as `other`'s schema). This is
-  /// the replay side of shared annotation (service/eval_service.h): one
-  /// annotated base relation serves every query atom with the same
-  /// annotation signature, and each replay copies it out under its own
-  /// query's variable names. The copy is a wholesale vector assignment —
-  /// no per-entry rehash — where re-annotating would re-match and re-hash
-  /// every base tuple.
-  void AssignFrom(const AnnotatedRelation& other, const VarSet& schema) {
-    HIERARQ_CHECK_EQ(schema.size(), other.schema_.size());
-    schema_ = schema;
-    store_ = other.store_;
-  }
-
-  /// Move flavour of `AssignFrom`: steals `other`'s store wholesale
-  /// (leaving it empty) instead of copying every entry. The zero-copy
-  /// replay path of the service layer — when a shared annotation-pool
-  /// entry serves exactly one query in a batch group, the worker adopts it
-  /// instead of duplicating it (see EvalService).
-  void AdoptFrom(AnnotatedRelation&& other, const VarSet& schema) {
-    HIERARQ_CHECK_EQ(schema.size(), other.schema_.size());
-    *this = std::move(other);
-    schema_ = schema;
   }
 
   /// Visits every stored fact as (key, annotation), in row order. Callers

@@ -41,10 +41,20 @@
 ///   * `ProjectDropInto` (Rule 1) batch-hashes only the *surviving*
 ///     columns — the dropped column's bytes are never read — then
 ///     ⊕-merges rows into the result;
-///   * `JoinUnionInto` (Rule 2) batch-hashes each side once, probes the
-///     other side per row, and builds the result's index with
-///     compare-free inserts (output keys are unique by Lemma 6.6's
-///     union-of-supports argument, so equality checks are unnecessary).
+///   * `JoinUnionInto` (Rule 2) batch-hashes the left side, probes the
+///     right index per left row, marks the matched right rows in a
+///     bitmap, then appends the unmatched right rows without probing the
+///     left index again; the result's index is built with compare-free
+///     inserts (output keys are unique by Lemma 6.6's union-of-supports
+///     argument, so equality checks are unnecessary);
+///   * `JoinUnionProjectInto` (Rule 2 whose result feeds a Rule 1) runs
+///     the same two passes but ⊕-aggregates every joined row straight
+///     into the projected result, so the join is never materialized.
+///
+/// The natives only read their source stores. Their per-run scratch (row
+/// hashes, the matched-row bitmap) lives on the store being written, so
+/// any number of threads may read one shared source at once, each into
+/// its own output.
 ///
 /// Pointers returned by `Find`/`FindOrInsert` are invalidated by the next
 /// mutating call.
@@ -68,9 +78,9 @@ class ColumnarStore {
   ColumnarStore() = default;
   explicit ColumnarStore(size_t arity) { Reset(arity); }
 
-  // Copies transfer the rows and the index but not the per-run hash
-  // scratch buffers — AssignFrom-driven replay copies (the service hot
-  // path) must not pay for dead scratch bandwidth. Moves stay wholesale.
+  // Copies transfer the rows and the index but not the per-run kernel
+  // scratch buffers, which hold nothing once a kernel returns. Moves stay
+  // wholesale.
   ColumnarStore(const ColumnarStore& other)
       : columns_(other.columns_),
         values_(other.values_),
@@ -89,6 +99,19 @@ class ColumnarStore {
   size_t arity() const { return columns_.size(); }
   size_t size() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
+
+  /// Bytes held for rows: the capacity of the columns, the annotation
+  /// vector and the row-id index. Kernel scratch and heap owned by the
+  /// annotations themselves are not counted.
+  size_t bytes() const {
+    size_t total = values_.capacity() * sizeof(Slot) +
+                   meta_.capacity() * sizeof(uint8_t) +
+                   rows_.capacity() * sizeof(uint32_t);
+    for (const std::vector<Value>& column : columns_) {
+      total += column.capacity() * sizeof(Value);
+    }
+    return total;
+  }
 
   /// Drops all rows and re-targets the store at `arity` positions. Kept
   /// columns and the index keep their allocations (buffer-reuse entry
@@ -258,47 +281,24 @@ class ColumnarStore {
     HIERARQ_CHECK_EQ(out->arity(), arity() - 1);
     out->Reserve(size());
 
-    std::vector<size_t> survivors;
-    survivors.reserve(arity() - 1);
-    for (size_t c = 0; c < arity(); ++c) {
-      if (c != drop_pos) {
-        survivors.push_back(c);
-      }
-    }
-    ComputeRowHashes(survivors, &hash_scratch_);
-
+    const std::vector<size_t> survivors = Survivors(drop_pos);
+    std::vector<uint64_t>& hashes = out->hash_scratch_;
+    ComputeRowHashes(survivors, &hashes);
     const size_t n = size();
     for (size_t r = 0; r < n; ++r) {
       if (r + kProbeAhead < n) {
-        out->PrefetchProbe(hash_scratch_[r + kProbeAhead]);
+        out->PrefetchProbe(hashes[r + kProbeAhead]);
       }
-      auto [row, inserted] = out->FindOrInsertRow(
-          hash_scratch_[r],
-          [&](uint32_t q) {
-            for (size_t j = 0; j < survivors.size(); ++j) {
-              if (out->columns_[j][q] != columns_[survivors[j]][r]) {
-                return false;
-              }
-            }
-            return true;
-          },
-          [&] {
-            for (size_t j = 0; j < survivors.size(); ++j) {
-              out->columns_[j].push_back(columns_[survivors[j]][r]);
-            }
-            out->values_.push_back(values_[r]);
-          });
-      if (!inserted) {
-        out->values_[row].value =
-            plus(out->values_[row].value, values_[r].value);
-      }
+      out->MergeProjectedRow(hashes[r], *this, r, survivors, values_[r].value,
+                             plus);
     }
   }
 
   /// Rule 2 native: out(x) = left(x) ⊗ right(x) over the *union* of
   /// supports (absent side contributes `zero`; only absent-absent pairs
   /// are skipped — Lemma 6.6). Output keys are unique by construction, so
-  /// the result index is built with compare-free inserts.
+  /// the result index is built with compare-free inserts. Rows land in
+  /// left order, then the unmatched right rows in right order.
   template <typename Times>
   static void JoinUnionInto(const ColumnarStore& left,
                             const ColumnarStore& right, Times times,
@@ -306,43 +306,72 @@ class ColumnarStore {
     HIERARQ_CHECK_EQ(left.arity(), right.arity());
     HIERARQ_CHECK_EQ(out->arity(), left.arity());
     out->Reserve(left.size() + right.size());  // Lemma 6.6 bound.
-    const size_t arity = left.arity();
+    std::vector<uint64_t>& hashes = out->hash_scratch_;
 
-    // Both probe loops walk rows in order with fully precomputed hashes,
-    // so the index lines each probe will touch are known kProbeAhead rows
-    // early — prefetching them overlaps the random meta/row loads that
-    // dominate large joins.
-    left.ComputeAllRowHashes(&left.hash_scratch_);
-    const size_t nl = left.size();
-    for (size_t r = 0; r < nl; ++r) {
-      if (r + kProbeAhead < nl) {
-        right.PrefetchProbe(left.hash_scratch_[r + kProbeAhead]);
-      }
-      const uint32_t other =
-          right.FindRow(left.hash_scratch_[r], [&](uint32_t q) {
-            return RowsEqual(left, r, right, q, arity);
-          });
-      out->AppendUnique(
-          left.hash_scratch_[r], left, r,
-          times(left.values_[r].value,
-                other == kNoRow ? zero : right.values_[other].value));
-    }
+    left.ComputeAllRowHashes(&hashes);
+    ProbeMatches(left, right, hashes, &out->matched_,
+                 [&](size_t r, const K& right_value) {
+                   out->AppendUnique(hashes[r], left, r,
+                                     times(left.values_[r].value,
+                                           right_value));
+                 },
+                 zero);
 
-    right.ComputeAllRowHashes(&right.hash_scratch_);
+    right.ComputeAllRowHashes(&hashes);
     const size_t nr = right.size();
     for (size_t r = 0; r < nr; ++r) {
-      if (r + kProbeAhead < nr) {
-        left.PrefetchProbe(right.hash_scratch_[r + kProbeAhead]);
-      }
-      const uint32_t shared =
-          left.FindRow(right.hash_scratch_[r], [&](uint32_t q) {
-            return RowsEqual(right, r, left, q, arity);
-          });
-      if (shared == kNoRow) {
-        out->AppendUnique(right.hash_scratch_[r], right, r,
+      if (!IsMatched(out->matched_, r)) {
+        out->AppendUnique(hashes[r], right, r,
                           times(zero, right.values_[r].value));
       }
     }
+  }
+
+  /// Fused Rule 2 → Rule 1 native: ⊕-projects position `drop_pos` out of
+  /// left ⊗ right (over the union of supports, as `JoinUnionInto`) into
+  /// `out` (already Reset to arity-1) without materializing the join.
+  /// Joined rows are visited in the order `JoinUnionInto` appends them
+  /// and ⊕-merged as `ProjectDropInto` would merge them, so the result
+  /// equals that two-step pipeline bit for bit, row order included —
+  /// also for floating-point ⊕. Returns the join's support size (the
+  /// rows the unfused Rule 2 would have emitted).
+  template <typename Times, typename Plus>
+  static size_t JoinUnionProjectInto(const ColumnarStore& left,
+                                     const ColumnarStore& right,
+                                     size_t drop_pos, Times times, Plus plus,
+                                     const K& zero, ColumnarStore* out) {
+    HIERARQ_CHECK_EQ(left.arity(), right.arity());
+    HIERARQ_CHECK_LT(drop_pos, left.arity());
+    HIERARQ_CHECK_EQ(out->arity(), left.arity() - 1);
+    const std::vector<size_t> survivors = left.Survivors(drop_pos);
+    std::vector<uint64_t>& probe_hashes = out->hash_scratch_;
+    std::vector<uint64_t>& out_hashes = out->projected_hash_scratch_;
+
+    left.ComputeAllRowHashes(&probe_hashes);
+    left.ComputeRowHashes(survivors, &out_hashes);
+    const size_t nl = left.size();
+    ProbeMatches(left, right, probe_hashes, &out->matched_,
+                 [&](size_t r, const K& right_value) {
+                   if (r + kProbeAhead < nl) {
+                     out->PrefetchProbe(out_hashes[r + kProbeAhead]);
+                   }
+                   out->MergeProjectedRow(
+                       out_hashes[r], left, r, survivors,
+                       times(left.values_[r].value, right_value), plus);
+                 },
+                 zero);
+
+    right.ComputeRowHashes(survivors, &out_hashes);
+    const size_t nr = right.size();
+    size_t unmatched = 0;
+    for (size_t r = 0; r < nr; ++r) {
+      if (!IsMatched(out->matched_, r)) {
+        out->MergeProjectedRow(out_hashes[r], right, r, survivors,
+                               times(zero, right.values_[r].value), plus);
+        ++unmatched;
+      }
+    }
+    return nl + unmatched;
   }
 
   /// Hints the cache that a probe for `hash` is imminent: touches the
@@ -354,45 +383,6 @@ class ColumnarStore {
     const size_t index = hash & (meta_.size() - 1);
     simd::PrefetchRead(meta_.data() + index);
     simd::PrefetchRead(rows_.data() + index);
-  }
-
-  /// Optional row reorder for cache-linear probing: sorts rows by the
-  /// index slot their hash homes to (hash & index mask — the probe
-  /// address prefix), so a row-order scan that probes an equally-sized
-  /// index walks it monotonically instead of randomly, then rebuilds this
-  /// store's own index over the new row ids. Content-neutral: the same
-  /// keys map to the same annotations; only row ids and ForEach order
-  /// change (callers must already not rely on those). Worth its O(n log n)
-  /// only before repeated large probe sweeps.
-  void SortRowsByHashPrefix() {
-    const size_t n = size();
-    if (n <= 1) {
-      return;
-    }
-    ComputeAllRowHashes(&hash_scratch_);
-    const size_t mask = meta_.empty() ? ~size_t{0} : meta_.size() - 1;
-    std::vector<uint32_t> order(n);
-    for (size_t r = 0; r < n; ++r) {
-      order[r] = static_cast<uint32_t>(r);
-    }
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      const uint64_t slot_a = hash_scratch_[a] & mask;
-      const uint64_t slot_b = hash_scratch_[b] & mask;
-      return slot_a != slot_b ? slot_a < slot_b : a < b;
-    });
-    std::vector<Value> column_scratch(n);
-    for (std::vector<Value>& column : columns_) {
-      for (size_t r = 0; r < n; ++r) {
-        column_scratch[r] = column[order[r]];
-      }
-      column.swap(column_scratch);
-    }
-    std::vector<Slot> value_scratch(n);
-    for (size_t r = 0; r < n; ++r) {
-      value_scratch[r] = std::move(values_[order[r]]);
-    }
-    values_.swap(value_scratch);
-    RebuildIndex(std::max(meta_.size(), kMinCapacity));
   }
 
  private:
@@ -419,6 +409,86 @@ class ColumnarStore {
       }
     }
     return true;
+  }
+
+  /// The positions that survive dropping `drop_pos`, in order.
+  std::vector<size_t> Survivors(size_t drop_pos) const {
+    std::vector<size_t> survivors;
+    survivors.reserve(arity() - 1);
+    for (size_t c = 0; c < arity(); ++c) {
+      if (c != drop_pos) {
+        survivors.push_back(c);
+      }
+    }
+    return survivors;
+  }
+
+  /// Rule 2 pass 1, shared by both join natives: probes `right` with
+  /// every left row (`left_hashes` are their full-key hashes), calls
+  /// `emit(r, right annotation or zero)` in left row order, and records
+  /// the matched right rows in the bitmap `*matched`. Keys are unique per
+  /// side, so a right row is shared iff some left row matched it — pass 2
+  /// reads the bitmap instead of probing the left index.
+  template <typename Emit>
+  static void ProbeMatches(const ColumnarStore& left,
+                           const ColumnarStore& right,
+                           const std::vector<uint64_t>& left_hashes,
+                           std::vector<uint64_t>* matched, Emit emit,
+                           const K& zero) {
+    matched->assign((right.size() + 63) / 64, 0);
+    const size_t arity = left.arity();
+    const size_t nl = left.size();
+    // The probe loop walks rows in order with precomputed hashes, so the
+    // index lines each probe will touch are known kProbeAhead rows early
+    // — prefetching them overlaps the random meta/row loads that
+    // dominate large joins.
+    for (size_t r = 0; r < nl; ++r) {
+      if (r + kProbeAhead < nl) {
+        right.PrefetchProbe(left_hashes[r + kProbeAhead]);
+      }
+      const uint32_t other = right.FindRow(left_hashes[r], [&](uint32_t q) {
+        return RowsEqual(left, r, right, q, arity);
+      });
+      if (other == kNoRow) {
+        emit(r, zero);
+      } else {
+        (*matched)[other / 64] |= uint64_t{1} << (other % 64);
+        emit(r, right.values_[other].value);
+      }
+    }
+  }
+
+  static bool IsMatched(const std::vector<uint64_t>& matched, size_t row) {
+    return (matched[row / 64] >> (row % 64)) & 1;
+  }
+
+  /// ⊕-merges `value` into this store under the key `src`'s row `r` has
+  /// on positions `cols` (this store's column j holds src column
+  /// cols[j]); `hash` is that key's hash. The first row of a key is
+  /// appended, later ones are combined as plus(existing, value).
+  template <typename V, typename Plus>
+  void MergeProjectedRow(uint64_t hash, const ColumnarStore& src, size_t r,
+                         const std::vector<size_t>& cols, V&& value,
+                         Plus plus) {
+    auto [row, inserted] = FindOrInsertRow(
+        hash,
+        [&](uint32_t q) {
+          for (size_t j = 0; j < cols.size(); ++j) {
+            if (columns_[j][q] != src.columns_[cols[j]][r]) {
+              return false;
+            }
+          }
+          return true;
+        },
+        [&] {
+          for (size_t j = 0; j < cols.size(); ++j) {
+            columns_[j].push_back(src.columns_[cols[j]][r]);
+          }
+          values_.push_back(Slot{std::forward<V>(value)});
+        });
+    if (!inserted) {
+      values_[row].value = plus(values_[row].value, value);
+    }
   }
 
   /// Folds per-row hashes over `cols` (in the given order) into
@@ -626,9 +696,12 @@ class ColumnarStore {
   std::vector<Slot> values_;                 // Annotation of each row.
   std::vector<uint8_t> meta_;   // 0 = empty, else probe distance + 1.
   std::vector<uint32_t> rows_;  // Row id per occupied slot; ∥ meta_.
-  // Per-row hash scratch for the batch passes; mutable so const sources
-  // of ProjectDropInto/JoinUnionInto reuse their buffer across steps.
-  mutable std::vector<uint64_t> hash_scratch_;
+  // Scratch of the natives that write into this store, kept for reuse
+  // across runs: per-row hashes of the source being scanned, the hashes
+  // of its projected keys, and the matched-right-row bitmap of Rule 2.
+  std::vector<uint64_t> hash_scratch_;
+  std::vector<uint64_t> projected_hash_scratch_;
+  std::vector<uint64_t> matched_;
   std::vector<uint64_t> hash_rebuild_scratch_;
 };
 

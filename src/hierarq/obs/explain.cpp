@@ -59,6 +59,9 @@ std::string StepDetails(const StepObservation* obs) {
                 FormatNs(static_cast<double>(obs->dur_ns)).c_str(),
                 simd::LevelName(a.simd));
   std::string out = buf;
+  if (a.fused) {
+    out += " fused";
+  }
   if (obs->runs > 1) {
     char runs[32];
     std::snprintf(runs, sizeof(runs), " x%zu runs, last shown", obs->runs);

@@ -134,14 +134,15 @@ uint64_t Tracer::dropped() const {
 namespace {
 
 void AppendStepArgsJson(const TraceStepArgs& step, std::string* out) {
-  char buf[160];
+  char buf[192];
   std::snprintf(buf, sizeof(buf),
                 "{\"step\": %u, \"rule\": %u, \"simd\": \"%s\", "
-                "\"rows_in\": %llu, \"rows_out\": %llu}",
+                "\"rows_in\": %llu, \"rows_out\": %llu, \"fused\": %s}",
                 step.step_index, static_cast<unsigned>(step.rule),
                 simd::LevelName(step.simd),
                 static_cast<unsigned long long>(step.rows_in),
-                static_cast<unsigned long long>(step.rows_out));
+                static_cast<unsigned long long>(step.rows_out),
+                step.fused ? "true" : "false");
   *out += buf;
 }
 

@@ -55,6 +55,10 @@ struct TraceStepArgs {
   simd::Level simd = simd::Level::kScalar;  ///< Dispatched SIMD tier.
   uint64_t rows_in = 0;   ///< Input support (Rule 2: |left| + |right|).
   uint64_t rows_out = 0;  ///< Result support.
+  /// One half of a fused Rule 2 → Rule 1 pair (EliminationStep::fused_with):
+  /// the Rule 2 event spans the whole fused kernel, the Rule 1 event only
+  /// its own accounting. Row counts are those of the unfused steps.
+  bool fused = false;
 };
 
 /// One recorded event. Trivially copyable on purpose: rings copy these

@@ -108,6 +108,18 @@ Result<EliminationPlan> EliminationPlan::Build(const ConjunctiveQuery& query) {
   }
 
   plan.final_atom_ = live.front().id;
+
+  // Fusion links: a Rule 2 result consumed by the following Rule 1 step.
+  for (size_t i = 0; i + 1 < plan.steps_.size(); ++i) {
+    EliminationStep& merge = plan.steps_[i];
+    EliminationStep& project = plan.steps_[i + 1];
+    if (merge.rule == EliminationRule::kMergeAtoms &&
+        project.rule == EliminationRule::kProjectVariable &&
+        project.source_atom == merge.result_atom) {
+      merge.fused_with = i + 1;
+      project.fused_with = i;
+    }
+  }
   return plan;
 }
 

@@ -51,6 +51,16 @@ struct EliminationStep {
   size_t right_atom = 0;  ///< Valid when rule == kMergeAtoms.
 
   size_t result_atom = 0;  ///< Freshly minted atom id.
+
+  /// Rule 2 → Rule 1 fusion link, set once by `EliminationPlan::Build`.
+  /// When a Rule 2 step's result is read by a Rule 1 step, that Rule 1
+  /// step is always the next one (a merge can make only its own result's
+  /// variables private). Such a pair stores each other's step index here;
+  /// Algorithm 1 then runs both as one kernel that ⊕-aggregates the join
+  /// straight into the Rule 1 result, never materializing the Rule 2
+  /// result. `kNotFused` on every other step.
+  size_t fused_with = kNotFused;
+  static constexpr size_t kNotFused = ~size_t{0};
 };
 
 /// A compiled elimination plan for a hierarchical SJF-BCQ.

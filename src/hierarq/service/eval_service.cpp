@@ -28,7 +28,6 @@ EvalService::EvalService(Options options)
   requests_ = registry_.GetCounter("service.requests");
   annotation_scans_ = registry_.GetCounter("service.annotation_scans");
   annotations_shared_ = registry_.GetCounter("service.annotations_shared");
-  singleton_moves_ = registry_.GetCounter("service.singleton_moves");
   annotation_cache_hits_ =
       registry_.GetCounter("service.annotation_cache_hits");
   annotation_cache_misses_ =
@@ -59,7 +58,6 @@ ServiceStats EvalService::stats() const {
   out.requests = requests_->Value();
   out.annotation_scans = annotation_scans_->Value();
   out.annotations_shared = annotations_shared_->Value();
-  out.singleton_moves = singleton_moves_->Value();
   out.annotation_cache_hits = annotation_cache_hits_->Value();
   out.annotation_cache_misses = annotation_cache_misses_->Value();
   out.annotation_cache_invalidations =

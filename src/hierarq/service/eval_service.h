@@ -27,11 +27,13 @@
 ///     keep the per-group pool. The cache is LRU-bounded
 ///     (`Options.annotation_cache_max_entries`), so long-running services
 ///     over many databases hold a working set, not a history.
-///   * **Zero-copy singleton replay.** Within a group, a pool entry used
-///     by exactly one query is *moved* into that worker's scratch
-///     (`AnnotatedRelation::AdoptFrom`) instead of copied — the copy is
-///     the service's main single-query overhead versus a bare Evaluator.
-///     Cached pools are never moved from (they outlive the group).
+///   * **In-place replay.** Every replay reads its base relations straight
+///     out of the pool (cached or per-group) through const pointers; no
+///     worker copies a base relation, so a warm request costs the plan's
+///     intermediates and nothing proportional to the pool. Pool entries
+///     are immutable once annotated and the store kernels keep their
+///     scratch on the worker's own output tables, so any number of
+///     workers read one entry at once.
 ///
 /// Parallelism is across queries only: each replay is one serial run of
 /// the Algorithm 1 step loop on one worker, and the pool runs as many of
@@ -130,7 +132,6 @@ struct ServiceStats {
   size_t annotations_shared = 0;  ///< Atom annotations served by a shared pass.
   size_t plans_built = 0;         ///< From the shared plan cache.
   size_t plan_cache_hits = 0;     ///< From the shared plan cache.
-  size_t singleton_moves = 0;     ///< Pool entries adopted (not copied).
   size_t annotation_cache_hits = 0;  ///< Groups served by a cached pool.
   size_t annotation_cache_misses = 0;  ///< Named groups that had to scan.
   size_t annotation_cache_invalidations = 0;  ///< Stale pools replaced.
@@ -296,7 +297,7 @@ class EvalService {
     // Data phase, annotate once: one pass over the base relations serves
     // every query in the group (the batching win). Named annotators go
     // through the generation-keyed cache; anonymous groups build a local
-    // pool whose singleton entries the replays may move from.
+    // pool that lives until the group's replays finish.
     std::vector<const ConjunctiveQuery*> planned_queries;
     planned_queries.reserve(planned.size());
     for (size_t i : planned) {
@@ -307,7 +308,14 @@ class EvalService {
     };
     std::shared_ptr<AnnotationPool<K>> cached;  // Pins a cached pool.
     AnnotationPool<K> local_pool;
-    ReplaySourceSet<K> sources;
+    // Per planned query, its base relations in atom order.
+    std::vector<std::vector<const AnnotatedRelation<K>*>> bases;
+    bases.reserve(planned_queries.size());
+    const auto resolve = [&](const AnnotationPool<K>& pool) {
+      for (const ConjunctiveQuery* query : planned_queries) {
+        bases.push_back(ResolveBases(*query, pool));
+      }
+    };
     size_t scans = 0;
     size_t shared = 0;
     if (!request.annotator_id.empty()) {
@@ -361,8 +369,7 @@ class EvalService {
         // Extend with missing signatures and resolve under the entry's
         // fill lock (concurrent groups may extend the same pool). Replays
         // run after release: entries are immutable once annotated and
-        // unordered_map growth never moves values. Cached entries are
-        // never movable — the pool outlives the group.
+        // unordered_map growth never moves values.
         std::lock_guard<std::mutex> fill(*fill_mutex);
         const size_t pre_scans = cached->scans;
         const size_t pre_reused = cached->reused;
@@ -370,25 +377,21 @@ class EvalService {
                                    request.annotator, plus, cached.get());
         scans = cached->scans - pre_scans;
         shared = cached->reused - pre_reused;
-        sources = ResolveReplaySources<K>(planned_queries, cached.get(),
-                                          /*allow_moves=*/false);
+        resolve(*cached);
       }
     } else {
       AnnotateForQuerySetInto<K>(planned_queries, *request.database,
                                  request.annotator, plus, &local_pool);
       scans = local_pool.scans;
       shared = local_pool.reused;
-      sources = ResolveReplaySources<K>(planned_queries, &local_pool,
-                                        /*allow_moves=*/true);
-      singleton_moves_->Add(sources.movable);
+      resolve(local_pool);
     }
     annotation_scans_->Add(scans);
     annotations_shared_->Add(shared);
 
-    // Replay phase: fan out across the workers. Shared pool entries are
-    // read-only from here on; each worker copies them into its own
-    // scratch (or adopts its exclusive singletons), so replays never
-    // contend.
+    // Replay phase: fan out across the workers. Pool entries are
+    // read-only from here on and every worker reads them in place,
+    // writing only its own evaluator's scratch, so replays never contend.
     std::vector<std::optional<K>> values(n);
     pool_.ParallelFor(planned.size(), [&](size_t worker, size_t j) {
       const size_t slot = planned[j];
@@ -400,7 +403,7 @@ class EvalService {
         obs::ScopedQueryStats accounting(slot == 0 ? request.stats : nullptr);
         values[slot] = worker_evaluator(worker).ReplayPlan(
             **plans[slot], monoid, *request.queries[slot],
-            sources.per_query[j]);
+            bases[j]);
       } catch (const CancelledError&) {
       }
     });
@@ -477,7 +480,6 @@ class EvalService {
   obs::Counter* requests_ = nullptr;
   obs::Counter* annotation_scans_ = nullptr;
   obs::Counter* annotations_shared_ = nullptr;
-  obs::Counter* singleton_moves_ = nullptr;
   obs::Counter* annotation_cache_hits_ = nullptr;
   obs::Counter* annotation_cache_misses_ = nullptr;
   obs::Counter* annotation_cache_invalidations_ = nullptr;

@@ -1,8 +1,10 @@
 // Randomized property tests for the relation laws AnnotatedRelation must
 // satisfy:
 //
-//   * AssignFrom under a permuted/renamed schema is an isomorphism — the
-//     copy holds exactly the source's (key, annotation) pairs, re-labelled;
+//   * the fused Rule 2 → Rule 1 kernel (ColumnarStore::JoinUnionProjectInto)
+//     equals JoinUnionInto followed by ProjectDropInto bit for bit, row
+//     order included, for every drop position, empty and one-sided inputs,
+//     a floating-point ⊕ and a non-annihilating ⊗;
 //   * Merge is ⊕-associative and ⊕-commutative per monoid: any insertion
 //     order of a multiset of (key, value) updates lands on the relation a
 //     std::map model folds;
@@ -15,12 +17,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
+#include "hierarq/algebra/prob_monoid.h"
 #include "hierarq/algebra/resilience_monoid.h"
+#include "hierarq/algebra/satcount_monoid.h"
+#include "hierarq/algebra/semirings.h"
 #include "hierarq/data/annotated.h"
+#include "hierarq/data/columnar.h"
 #include "hierarq/util/random.h"
 
 namespace hierarq {
@@ -54,41 +62,125 @@ VarSet SchemaOfArity(size_t arity, VarId first) {
   return schema;
 }
 
-TEST(AnnotatedPropertyTest, AssignFromIsSchemaRelabelledIsomorphism) {
-  Rng rng(0x5eedULL);
-  for (int round = 0; round < 100; ++round) {
-    const size_t arity = 1 + static_cast<size_t>(rng.UniformInt(0, 3));
-    AnnotatedRelation<uint64_t> source(SchemaOfArity(arity, 0));
-    const size_t n = static_cast<size_t>(rng.UniformInt(0, 40));
-    for (size_t i = 0; i < n; ++i) {
-      source.Merge(RandomKey(rng, arity, 16), rng.Next() % 1000,
-                   [](uint64_t a, uint64_t b) { return a + b; });
+// A store's rows in row order, annotations compared by bit pattern.
+template <typename K>
+std::vector<std::pair<Tuple, K>> Rows(const ColumnarStore<K>& store) {
+  std::vector<std::pair<Tuple, K>> out;
+  store.ForEach(
+      [&](const Tuple& key, const K& value) { out.emplace_back(key, value); });
+  return out;
+}
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+template <typename K>
+bool SameBits(const K& a, const K& b) {
+  return a == b;
+}
+
+// Which sides of a join get rows, so empty and one-sided inputs are
+// covered on purpose rather than by chance.
+enum class Sides { kBoth, kLeftOnly, kRightOnly, kNeither, kDisjoint };
+
+// Checks JoinUnionProjectInto against the unfused two-step pipeline on
+// seeded random stores, over every arity in [1, 4], every drop position
+// and every side shape. Output stores are reused across rounds, so stale
+// kernel scratch (hashes, the matched-row bitmap of a bigger earlier
+// join) would show.
+template <typename M, typename Draw>
+void ExpectFusedEqualsPipeline(const M& monoid, Draw draw, uint64_t seed) {
+  using K = typename M::value_type;
+  const auto plus = [&monoid](const K& a, const K& b) {
+    return monoid.Plus(a, b);
+  };
+  const auto times = [&monoid](const K& a, const K& b) {
+    return monoid.Times(a, b);
+  };
+  Rng rng(seed);
+  ColumnarStore<K> joined;
+  ColumnarStore<K> expected;
+  ColumnarStore<K> fused;
+  size_t compared = 0;
+  for (int round = 0; round < 12; ++round) {
+    for (Sides sides : {Sides::kBoth, Sides::kLeftOnly, Sides::kRightOnly,
+                        Sides::kNeither, Sides::kDisjoint}) {
+      const size_t arity = 1 + static_cast<size_t>(rng.UniformInt(0, 3));
+      // A tight domain makes shared keys and ⊕-merges common.
+      const int64_t domain = 2 + rng.UniformInt(0, 4);
+      const auto fill = [&](ColumnarStore<K>* store, bool rows,
+                            int64_t offset) {
+        store->Reset(arity);
+        const size_t n = rows ? static_cast<size_t>(rng.UniformInt(1, 60)) : 0;
+        for (size_t i = 0; i < n; ++i) {
+          Tuple key = RandomKey(rng, arity, domain);
+          key[0] += offset;
+          store->Set(key, draw(rng));
+        }
+      };
+      ColumnarStore<K> left;
+      ColumnarStore<K> right;
+      fill(&left, sides != Sides::kRightOnly && sides != Sides::kNeither, 0);
+      fill(&right, sides != Sides::kLeftOnly && sides != Sides::kNeither,
+           sides == Sides::kDisjoint ? domain : 0);
+      for (size_t drop = 0; drop < arity; ++drop) {
+        joined.Reset(arity);
+        ColumnarStore<K>::JoinUnionInto(left, right, times, monoid.Zero(),
+                                        &joined);
+        expected.Reset(arity - 1);
+        joined.ProjectDropInto(drop, plus, &expected);
+        fused.Reset(arity - 1);
+        const size_t join_rows = ColumnarStore<K>::JoinUnionProjectInto(
+            left, right, drop, times, plus, monoid.Zero(), &fused);
+
+        EXPECT_EQ(join_rows, joined.size());
+        const auto want = Rows(expected);
+        const auto got = Rows(fused);
+        ASSERT_EQ(got.size(), want.size()) << "arity " << arity << " drop "
+                                           << drop << " round " << round;
+        for (size_t r = 0; r < want.size(); ++r) {
+          EXPECT_EQ(got[r].first, want[r].first) << "row " << r;
+          EXPECT_TRUE(SameBits(got[r].second, want[r].second))
+              << "row " << r << " arity " << arity << " drop " << drop;
+        }
+        // Every key is also reachable through the fused result's index.
+        for (const auto& [key, value] : want) {
+          ASSERT_NE(fused.Find(key), nullptr);
+        }
+        ++compared;
+      }
     }
-
-    // Target starts pre-polluted with entries that the assignment must
-    // fully replace.
-    AnnotatedRelation<uint64_t> target(SchemaOfArity(arity, 50));
-    target.Set(RandomKey(rng, arity, 16), 77);
-    const VarSet renamed = SchemaOfArity(arity, 100);
-    target.AssignFrom(source, renamed);
-
-    // The copy carries the new labels and is entry-for-entry identical to
-    // the source.
-    EXPECT_TRUE(target.schema() == renamed);
-    EXPECT_EQ(target.size(), source.size());
-    EXPECT_EQ(Snapshot(target), Snapshot(source));
-    source.ForEach([&](const Tuple& key, const uint64_t& value) {
-      const uint64_t* found = target.Find(key);
-      ASSERT_NE(found, nullptr);
-      EXPECT_EQ(*found, value);
-    });
-
-    // The copy is independent: mutating it leaves the source intact.
-    const auto before = Snapshot(source);
-    target.Merge(RandomKey(rng, arity, 16), 5,
-                 [](uint64_t a, uint64_t b) { return a + b; });
-    EXPECT_EQ(Snapshot(source), before);
   }
+  EXPECT_GE(compared, 100u);
+}
+
+TEST(AnnotatedPropertyTest, FusedJoinProjectEqualsPipelineCount) {
+  ExpectFusedEqualsPipeline(
+      CountMonoid{}, [](Rng& rng) { return 1 + rng.Next() % 1000; }, 0xf00dULL);
+}
+
+TEST(AnnotatedPropertyTest, FusedJoinProjectEqualsPipelineFloatingPlus) {
+  // 1 - (1-p)(1-q) rounds differently in every order: only the unfused
+  // visiting order gives the same bits.
+  ExpectFusedEqualsPipeline(
+      ProbMonoid{},
+      [](Rng& rng) {
+        return 0.01 + 0.98 * static_cast<double>(rng.Next() % 100003) /
+                          100003.0;
+      },
+      0xd0b1eULL);
+}
+
+TEST(AnnotatedPropertyTest, FusedJoinProjectEqualsPipelineNonAnnihilating) {
+  // #Sat: x ⊗ 0 ≠ 0, so one-sided rows carry real values (Lemma 6.6's
+  // union of supports).
+  const SatCountMonoid<uint64_t> monoid(4);
+  ASSERT_NE(monoid.Times(monoid.Star(), monoid.Zero()), monoid.Zero());
+  ExpectFusedEqualsPipeline(
+      monoid,
+      [&monoid](Rng& rng) {
+        return rng.Next() % 2 == 0 ? monoid.Star() : monoid.One();
+      },
+      0x5a7ULL);
 }
 
 // Applies `updates` to a fresh relation in the given order.

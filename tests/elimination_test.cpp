@@ -37,6 +37,32 @@ void ValidatePlan(const EliminationPlan& plan, const ConjunctiveQuery& q) {
     }
     live[step.result_atom] = true;
   }
+  // Fusion links: a Rule 2 result read by a Rule 1 step is read by the
+  // very next step, and exactly those pairs link to each other.
+  const std::vector<EliminationStep>& steps = plan.steps();
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const EliminationStep& step = steps[i];
+    bool feeds_projection = false;
+    if (step.rule == EliminationRule::kMergeAtoms) {
+      for (size_t j = i + 1; j < steps.size(); ++j) {
+        if (steps[j].rule == EliminationRule::kProjectVariable &&
+            steps[j].source_atom == step.result_atom) {
+          ASSERT_EQ(j, i + 1) << "Rule 1 consumer is not the next step";
+          feeds_projection = true;
+        }
+      }
+    }
+    if (feeds_projection) {
+      ASSERT_EQ(step.fused_with, i + 1);
+      ASSERT_EQ(steps[i + 1].fused_with, i);
+    } else if (step.rule == EliminationRule::kMergeAtoms) {
+      ASSERT_EQ(step.fused_with, EliminationStep::kNotFused);
+    } else if (step.fused_with != EliminationStep::kNotFused) {
+      ASSERT_EQ(step.fused_with + 1, i);
+      ASSERT_EQ(steps[i - 1].rule, EliminationRule::kMergeAtoms);
+    }
+  }
+
   size_t live_count = 0;
   for (size_t i = 0; i < live.size(); ++i) {
     if (live[i]) {
@@ -80,6 +106,32 @@ TEST(Elimination, DuplicateSchemasMerge) {
   auto plan = EliminationPlan::Build(q);
   ASSERT_TRUE(plan.ok());
   ValidatePlan(*plan, q);
+}
+
+TEST(Elimination, FusionLinksEachRule2ToTheRule1ThatConsumesIt) {
+  // Paper query: S ⊗ T' feeds the projection of C, R' ⊗ S'' the
+  // projection of A; the two leading projections read base atoms.
+  const ConjunctiveQuery paper = ParseQueryOrDie("R(A,B), S(A,C), T(A,C,D)");
+  auto plan = EliminationPlan::Build(paper);
+  ASSERT_TRUE(plan.ok());
+  ValidatePlan(*plan, paper);
+  std::vector<size_t> links;
+  for (const EliminationStep& step : plan->steps()) {
+    links.push_back(step.fused_with);
+  }
+  constexpr size_t kNone = EliminationStep::kNotFused;
+  EXPECT_EQ(links, (std::vector<size_t>{kNone, kNone, 3, 2, 5, 4}));
+
+  // A Rule 2 → Rule 2 chain: only the second merge feeds a projection.
+  const ConjunctiveQuery chain = ParseQueryOrDie("R(A), S(A), T(A)");
+  plan = EliminationPlan::Build(chain);
+  ASSERT_TRUE(plan.ok());
+  ValidatePlan(*plan, chain);
+  links.clear();
+  for (const EliminationStep& step : plan->steps()) {
+    links.push_back(step.fused_with);
+  }
+  EXPECT_EQ(links, (std::vector<size_t>{kNone, 2, 1}));
 }
 
 TEST(Elimination, StuckReportsViolation) {

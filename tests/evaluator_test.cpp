@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "hierarq/algebra/semirings.h"
 #include "hierarq/core/evaluator.h"
 #include "hierarq/core/pqe.h"
@@ -282,6 +287,61 @@ TEST(Evaluator, ReplayPlanMatchesEvaluate) {
   // read, the scratch is reset per replay.
   EXPECT_EQ(evaluator.ReplayPlan(**plan, monoid, q, pool), *direct);
   EXPECT_EQ(evaluator.ReplayPlan(**plan, monoid, q, pool), *direct);
+}
+
+TEST(Evaluator, WarmReplaysReadThePoolInPlace) {
+  // A replay reads its base relations straight out of the pool: the pool
+  // stays untouched and the evaluator's scratch holds only the plan's
+  // intermediates — no base-sized copy — so its bytes stay below the
+  // pool's.
+  const ConjunctiveQuery q = ParseQueryOrDie("R(A,B), S(A,C), T(A,C,D)");
+  Rng rng(30000);
+  DataGenOptions opts;
+  opts.tuples_per_relation = 10000;  // ~30k facts over three relations.
+  opts.domain_size = 300;
+  const Database db = RandomDatabaseForQuery(q, rng, opts);
+  const CountMonoid monoid;
+  const auto plus = [](uint64_t a, uint64_t b) { return a + b; };
+  const AnnotationPool<uint64_t> pool =
+      AnnotateForQuerySet<uint64_t>({&q}, db, OneAnnotator(), plus);
+
+  using Rows = std::vector<std::pair<std::vector<Value>, uint64_t>>;
+  const auto snapshot = [&pool] {
+    std::map<std::string, Rows> out;
+    for (const auto& [signature, relation] : pool.by_signature) {
+      Rows& rows = out[signature];
+      relation.ForEach([&rows](const Tuple& key, const uint64_t& value) {
+        rows.emplace_back(std::vector<Value>(key.begin(), key.end()), value);
+      });
+    }
+    return out;
+  };
+  size_t pool_bytes = 0;
+  for (const auto& [signature, relation] : pool.by_signature) {
+    pool_bytes += relation.bytes();
+  }
+  const auto before = snapshot();
+  ASSERT_GT(db.NumFacts(), 29000u);
+
+  Evaluator reference;
+  auto expected = reference.Evaluate<CountMonoid>(q, monoid, db,
+                                                  OneAnnotator());
+  ASSERT_TRUE(expected.ok());
+  // The gauge sees base tables where they exist: Evaluate annotates its
+  // own, as large as the pool's.
+  EXPECT_GE(reference.scratch_bytes(), pool_bytes);
+
+  Evaluator evaluator;
+  auto plan = evaluator.GetPlan(q);
+  ASSERT_TRUE(plan.ok());
+  const auto bases = ResolveBases(q, pool);
+  for (int replay = 0; replay < 3; ++replay) {
+    EXPECT_EQ(evaluator.ReplayPlan(**plan, monoid, q, bases), *expected);
+  }
+  EXPECT_EQ(snapshot(), before) << "a replay wrote a pool entry";
+  EXPECT_GT(evaluator.scratch_bytes(), 0u);
+  EXPECT_LT(evaluator.scratch_bytes(), pool_bytes)
+      << "replay scratch holds a base-sized table";
 }
 
 TEST(Evaluator, SharedAcrossSolverEntryPoints) {

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "hierarq/algebra/prob_monoid.h"
 #include "hierarq/algebra/semirings.h"
 #include "hierarq/core/evaluator.h"
 #include "hierarq/core/expectation.h"
@@ -313,8 +315,6 @@ TEST(EvalService, AnnotationCacheServesRepeatBatchesWithoutRescanning) {
   EXPECT_EQ(stats.annotation_scans, 4u);  // Only U was missing.
   EXPECT_EQ(stats.annotation_cache_hits, 2u);
 
-  // Cached pools are shared; their entries must never be moved from.
-  EXPECT_EQ(stats.singleton_moves, 0u);
 }
 
 TEST(EvalService, AnnotationCacheInvalidatesOnGenerationBump) {
@@ -443,38 +443,6 @@ TEST(EvalService, AnnotationCacheUnboundedWhenMaxEntriesZero) {
   EXPECT_EQ(service.stats().annotation_cache_evictions, 0u);
 }
 
-TEST(EvalService, SingletonPoolEntriesMoveIntoWorkerScratch) {
-  // Two queries over disjoint relations: every pool entry serves exactly
-  // one query, so an anonymous (uncached) group adopts all of them.
-  const ConjunctiveQuery q1 = ParseQueryOrDie("R(A,B), S(A)");
-  const ConjunctiveQuery q2 = ParseQueryOrDie("U(A,B), V(A)");
-  Database db;
-  db.AddFactOrDie("R", MakeTuple({1, 2}));
-  db.AddFactOrDie("R", MakeTuple({1, 3}));
-  db.AddFactOrDie("S", MakeTuple({1}));
-  db.AddFactOrDie("U", MakeTuple({4, 5}));
-  db.AddFactOrDie("V", MakeTuple({4}));
-  const CountMonoid monoid;
-
-  EvalService service(EvalService::Options{.num_workers = 2});
-  auto results = service.EvaluateMany<CountMonoid>(monoid, {&q1, &q2}, db,
-                                                   OneAnnotator());
-  ASSERT_TRUE(results[0].ok() && results[1].ok());
-  EXPECT_EQ(*results[0], 2u);
-  EXPECT_EQ(*results[1], 1u);
-  EXPECT_EQ(service.stats().singleton_moves, 4u);
-
-  // A shared signature (R(A,B) appears in both queries) must be copied,
-  // not moved; the singletons still move.
-  const ConjunctiveQuery q3 = ParseQueryOrDie("R(A,B)");
-  results = service.EvaluateMany<CountMonoid>(monoid, {&q1, &q3}, db,
-                                              OneAnnotator());
-  ASSERT_TRUE(results[0].ok() && results[1].ok());
-  EXPECT_EQ(*results[0], 2u);
-  EXPECT_EQ(*results[1], 2u);
-  EXPECT_EQ(service.stats().singleton_moves, 5u);  // +1: only S(A).
-}
-
 TEST(EvalService, StressManyClientThreadsQueriesAndDatabases) {
   // N client threads × M queries × K databases, all against one service;
   // every result must equal the single-threaded Evaluator's.
@@ -545,6 +513,106 @@ TEST(EvalService, StressManyClientThreadsQueriesAndDatabases) {
   EXPECT_EQ(stats.plans_built, queries.size());
   EXPECT_EQ(stats.requests,
             kClients * kRoundsPerClient * kDatabases * queries.size());
+}
+
+// Bit-level equality: exact for every monoid, including doubles (a
+// floating-point answer must not drift by a rounding step either).
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+bool SameBits(uint64_t a, uint64_t b) { return a == b; }
+
+TEST(EvalService, ConcurrentInPlaceReplaysOverRelabelledPoolEntries) {
+  // Replays read cached pool entries in place, so many workers read one
+  // entry at once, and an entry keeps the variable labels of the query
+  // that annotated it first: T(A,C,D) is T over {A,C,D} = VarIds {0,2,3}
+  // in the paper query but {0,1,2} in `sub`. Client threads mix both
+  // queries over count, pqe and expectation with named (cached)
+  // annotators; every answer must be bit-identical to a single-threaded
+  // Evaluator's. A source store that kept kernel scratch, or a schema
+  // check on a pool entry's labels, fails here.
+  const ConjunctiveQuery paper = ParseQueryOrDie("R(A,B), S(A,C), T(A,C,D)");
+  const ConjunctiveQuery sub = ParseQueryOrDie("S(A,C), T(A,C,D)");
+  Rng rng(0xc0c0ULL);
+  DataGenOptions opts;
+  opts.tuples_per_relation = 1500;
+  opts.domain_size = 40;
+  const VersionedDatabase db(RandomTidForQuery(paper, rng, opts));
+  const auto ones = OneAnnotator();
+  const std::function<double(const Fact&)> weight =
+      [&db](const Fact& fact) { return db.WeightOf(fact); };
+
+  Evaluator reference;
+  const std::vector<const ConjunctiveQuery*> queries = {&paper, &sub};
+  std::vector<uint64_t> count(queries.size());
+  std::vector<double> pqe(queries.size());
+  std::vector<double> expect(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    count[i] = *reference.Evaluate<CountMonoid>(*queries[i], CountMonoid{},
+                                                db.facts(), ones);
+    pqe[i] = *reference.Evaluate<ProbMonoid>(*queries[i], ProbMonoid{},
+                                             db.facts(), weight);
+    expect[i] = *reference.Evaluate<ExpectationMonoid>(
+        *queries[i], ExpectationMonoid{}, db.facts(), weight);
+  }
+
+  EvalService service(EvalService::Options{.num_workers = 4});
+  // Seed the caches in both orders, so each query reads entries labelled
+  // by the other: `sub` annotates S and T first for count, `paper` first
+  // for pqe and expectation.
+  service.EvaluateMany<CountMonoid>(CountMonoid{}, {&sub}, db, ones, "count");
+  service.EvaluateMany<ProbMonoid>(ProbMonoid{}, {&paper}, db, weight, "pqe");
+  service.EvaluateMany<ExpectationMonoid>(ExpectationMonoid{}, {&paper}, db,
+                                          weight, "expect");
+
+  constexpr size_t kClients = 4;
+  constexpr size_t kRounds = 12;
+  std::atomic<size_t> mismatches{0};
+  std::atomic<size_t> answers{0};
+  const auto check = [&](const auto& results,
+                         const std::vector<size_t>& slots,
+                         const auto& expected) {
+    for (size_t j = 0; j < slots.size(); ++j) {
+      answers.fetch_add(1);
+      if (!results[j].ok() || !SameBits(*results[j], expected[slots[j]])) {
+        mismatches.fetch_add(1);
+      }
+    }
+  };
+  {
+    std::vector<std::jthread> clients;
+    for (size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (size_t round = 0; round < kRounds; ++round) {
+          // Single-query groups (the wire's shape) alternate with a
+          // two-query group whose replays share S and T on two workers.
+          const size_t pick = (c + round) % 3;
+          const std::vector<size_t> slots =
+              pick == 2 ? std::vector<size_t>{0, 1}
+                        : std::vector<size_t>{pick};
+          std::vector<const ConjunctiveQuery*> group;
+          for (size_t slot : slots) {
+            group.push_back(queries[slot]);
+          }
+          check(service.EvaluateMany<CountMonoid>(CountMonoid{}, group, db,
+                                                  ones, "count"),
+                slots, count);
+          check(service.EvaluateMany<ProbMonoid>(ProbMonoid{}, group, db,
+                                                 weight, "pqe"),
+                slots, pqe);
+          check(service.EvaluateMany<ExpectationMonoid>(
+                    ExpectationMonoid{}, group, db, weight, "expect"),
+                slots, expect);
+        }
+      });
+    }
+  }
+  EXPECT_EQ(mismatches.load(), 0u) << "of " << answers.load() << " answers";
+  // Every three rounds a client asks 1 + 1 + 2 queries in each monoid.
+  EXPECT_EQ(answers.load(), kClients * (kRounds / 3) * 4 * 3);
+  // Three cached pools (count, pqe, expect), each scanning R, S and T
+  // exactly once however many replays read them.
+  EXPECT_EQ(service.stats().annotation_scans, 3u * 3u);
 }
 
 // ---------------------------------------------------------- batch solvers --

@@ -1,16 +1,12 @@
-// Kernel-equivalence tests for util/simd.h and the columnar loops built
-// on it: every vector tier must match the scalar reference bit-for-bit
-// (the kernels are pure integer math — there is no tolerance to hide
-// behind), and the optional sort-by-hash-prefix row reorder must be
-// content-neutral.
+// Kernel-equivalence tests for util/simd.h: every vector tier must match
+// the scalar reference bit-for-bit (the kernels are pure integer math —
+// there is no tolerance to hide behind).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "hierarq/data/columnar.h"
-#include "hierarq/data/tuple.h"
 #include "hierarq/util/hash.h"
 #include "hierarq/util/random.h"
 #include "hierarq/util/simd.h"
@@ -121,48 +117,6 @@ TEST_F(SimdTest, LevelNamesRoundTrip) {
   simd::SetLevelForTesting(simd::Level::kAvx512);
   EXPECT_LE(static_cast<int>(simd::ActiveLevel()),
             static_cast<int>(simd::DetectedLevel()));
-}
-
-// ------------------------------------------- sort-by-hash-prefix reorder --
-
-TEST_F(SimdTest, SortRowsByHashPrefixIsContentNeutral) {
-  Rng rng(0x50a7ULL);
-  for (size_t arity : {1, 2, 3, 4}) {
-    ColumnarStore<uint64_t> store(arity);
-    std::vector<std::pair<Tuple, uint64_t>> facts;
-    for (size_t i = 0; i < 500; ++i) {
-      Tuple key;
-      for (size_t c = 0; c < arity; ++c) {
-        key.push_back(rng.UniformInt(0, 40));
-      }
-      const uint64_t value = static_cast<uint64_t>(i) + 1;
-      auto [slot, inserted] = store.FindOrInsert(key);
-      if (inserted) {
-        *slot = value;
-        facts.emplace_back(key, value);
-      }
-    }
-    const size_t size_before = store.size();
-
-    store.SortRowsByHashPrefix();
-
-    ASSERT_EQ(store.size(), size_before);
-    // Every key still maps to its annotation, through the rebuilt index.
-    for (const auto& [key, value] : facts) {
-      const uint64_t* found = store.Find(key);
-      ASSERT_NE(found, nullptr);
-      EXPECT_EQ(*found, value);
-    }
-    Tuple absent;
-    for (size_t c = 0; c < arity; ++c) {
-      absent.push_back(1000 + static_cast<Value>(c));
-    }
-    EXPECT_EQ(store.Find(absent), nullptr);
-    // Erase still works against the rebuilt index.
-    EXPECT_TRUE(store.Erase(facts.front().first));
-    EXPECT_EQ(store.Find(facts.front().first), nullptr);
-    EXPECT_EQ(store.size(), size_before - 1);
-  }
 }
 
 }  // namespace

@@ -131,14 +131,47 @@ double BruteForceTropical(const ConjunctiveQuery& q, const TidDatabase& db) {
   return best;
 }
 
+// Which plan shapes an instance exercises: a Rule 2 step fused with the
+// Rule 1 that consumes it (one JoinUnionProjectInto kernel), and a Rule 2
+// step reading another Rule 2's result (a materialized join).
+struct PlanShape {
+  bool fused = false;
+  bool chain = false;
+};
+
+PlanShape ShapeOf(const ConjunctiveQuery& q) {
+  auto plan = EliminationPlan::Build(q);
+  HIERARQ_CHECK(plan.ok());
+  PlanShape shape;
+  const auto is_merge_result = [&](size_t atom) {
+    return atom >= plan->num_base_atoms() &&
+           plan->steps()[atom - plan->num_base_atoms()].rule ==
+               EliminationRule::kMergeAtoms;
+  };
+  for (const EliminationStep& step : plan->steps()) {
+    if (step.rule != EliminationRule::kMergeAtoms) {
+      continue;
+    }
+    shape.fused |= step.fused_with != EliminationStep::kNotFused;
+    shape.chain |=
+        is_merge_result(step.left_atom) || is_merge_result(step.right_atom);
+  }
+  return shape;
+}
+
 // ----------------------------------------------------- count and Boolean --
 
 TEST(OracleDifferential, CountAndBooleanMatchJoinEngine) {
   Evaluator evaluator;
   size_t instances = 0;
+  size_t fused = 0;
+  size_t chained = 0;
   for (uint64_t seed = 0; seed < 80; ++seed) {
     Rng rng(1000 + seed);
     const ConjunctiveQuery q = RandomQuery(rng);
+    const PlanShape shape = ShapeOf(q);
+    fused += shape.fused ? 1 : 0;
+    chained += shape.chain ? 1 : 0;
     DataGenOptions dopts;
     // Includes 0 (all relations empty) and 1 (single-fact supports).
     dopts.tuples_per_relation = static_cast<size_t>(rng.UniformInt(0, 50));
@@ -165,6 +198,11 @@ TEST(OracleDifferential, CountAndBooleanMatchJoinEngine) {
     ++instances;
   }
   EXPECT_GE(instances, 160u);
+  // Floors on the plan shapes the step loop special-cases (59 and 25 of
+  // the 80 queries today), so a generator change cannot quietly stop
+  // covering them.
+  EXPECT_GE(fused, 40u);
+  EXPECT_GE(chained, 15u);
 }
 
 // ------------------------------------------------------ duplicate merges --
@@ -218,9 +256,12 @@ TEST(OracleDifferential, BagAnnotationsMergeLikeRepeatedFacts) {
 TEST(OracleDifferential, FloatingMonoidsMatchEnumeration) {
   Evaluator evaluator;
   size_t compared = 0;
+  size_t fused = 0;
+  size_t chained = 0;
   for (uint64_t seed = 0; seed < 60; ++seed) {
     Rng rng(2000 + seed);
     const ConjunctiveQuery q = RandomQuery(rng);
+    const PlanShape shape = ShapeOf(q);
     DataGenOptions dopts;
     dopts.tuples_per_relation = static_cast<size_t>(rng.UniformInt(0, 4));
     dopts.domain_size = 2 + static_cast<size_t>(rng.UniformInt(0, 2));
@@ -246,8 +287,12 @@ TEST(OracleDifferential, FloatingMonoidsMatchEnumeration) {
     ASSERT_TRUE(tropical.ok());
     ExpectClose(*tropical, BruteForceTropical(q, tid), "tropical " + context);
     ++compared;
+    fused += shape.fused ? 1 : 0;
+    chained += shape.chain ? 1 : 0;
   }
   EXPECT_GE(compared, 50u);
+  EXPECT_GE(fused, 25u);  // 35 and 12 of the compared instances today.
+  EXPECT_GE(chained, 8u);
 }
 
 // ------------------------------------------------------------ resilience --
@@ -383,6 +428,80 @@ TEST(OracleDifferential, EdgeCaseInstances) {
   const Database dropped = DropRelation(single, "S");
   EXPECT_EQ(AlgorithmCount(evaluator, q, dropped), 0u);
   EXPECT_EQ(BagSetCount(q, dropped), 0u);
+}
+
+// ------------------------------------------------- fused and chained plans --
+
+TEST(OracleDifferential, FusedAndChainedPlansMatchOracles) {
+  // Fixed shapes that pin both special cases of the step loop whatever
+  // the query generator draws: R(A), S(A), T(A) merges twice in a row (a
+  // Rule 2 → Rule 2 chain) before a fused pair; R(A,B), S(A,B), T(A) has
+  // two fused pairs; the paper query fuses S ⊗ T' into its projection.
+  Evaluator evaluator;
+  size_t compared = 0;
+  for (const char* text :
+       {"Q() :- R(A), S(A), T(A)", "Q() :- R(A,B), S(A,B), T(A)",
+        "Q() :- R(A,B), S(A,C), T(A,C,D)"}) {
+    const ConjunctiveQuery q = ParseQueryOrDie(text);
+    const PlanShape shape = ShapeOf(q);
+    EXPECT_TRUE(shape.fused) << text;
+    EXPECT_EQ(shape.chain, text == std::string("Q() :- R(A), S(A), T(A)"))
+        << text;
+    for (uint64_t seed = 0; seed < 16; ++seed) {
+      Rng rng(8000 + seed);
+      const std::string context =
+          "seed=" + std::to_string(seed) + " query=" + text;
+      DataGenOptions dopts;
+      dopts.tuples_per_relation = static_cast<size_t>(rng.UniformInt(0, 40));
+      dopts.domain_size = 2 + static_cast<size_t>(rng.UniformInt(0, 6));
+      const Database db = RandomDatabaseForQuery(q, rng, dopts);
+      EXPECT_EQ(AlgorithmCount(evaluator, q, db), BagSetCount(q, db))
+          << context;
+      auto boolean = evaluator.Evaluate<BoolMonoid>(
+          q, BoolMonoid{}, db, [](const Fact&) { return true; });
+      ASSERT_TRUE(boolean.ok());
+      EXPECT_EQ(*boolean, EvaluateBoolean(q, db)) << context;
+
+      // Small instances for the enumerating oracles: the floating
+      // monoids, resilience, and Shapley (#Sat, whose ⊗ does not
+      // annihilate, so one-sided join rows carry real values).
+      DataGenOptions small;
+      small.tuples_per_relation = static_cast<size_t>(rng.UniformInt(0, 4));
+      small.domain_size = 2 + static_cast<size_t>(rng.UniformInt(0, 1));
+      const TidDatabase tid = RandomTidForQuery(q, rng, small);
+      if (tid.NumFacts() <= 12) {
+        auto probability = EvaluateProbability(evaluator, q, tid);
+        ASSERT_TRUE(probability.ok());
+        ExpectClose(*probability, BruteForcePqe(q, tid), "pqe " + context);
+        auto expectation = ExpectedMultiplicity(evaluator, q, tid);
+        ASSERT_TRUE(expectation.ok());
+        ExpectClose(*expectation, BruteForceExpectation(q, tid),
+                    "expectation " + context);
+        auto tropical = evaluator.Evaluate<TropicalMonoid>(
+            q, TropicalMonoid{}, tid.facts(),
+            [&tid](const Fact& fact) { return tid.Probability(fact); });
+        ASSERT_TRUE(tropical.ok());
+        ExpectClose(*tropical, BruteForceTropical(q, tid),
+                    "tropical " + context);
+
+        const auto [exo, endo] = SplitExoEndo(tid.facts(), rng, 0.6);
+        auto resilience = ComputeResilience(evaluator, q, exo, endo);
+        ASSERT_TRUE(resilience.ok());
+        EXPECT_EQ(*resilience, BruteForceResilience(q, exo, endo)) << context;
+        if (endo.NumFacts() <= 8) {
+          auto values = AllShapleyValues(evaluator, q, exo, endo);
+          ASSERT_TRUE(values.ok());
+          for (const auto& [fact, value] : *values) {
+            EXPECT_TRUE(value ==
+                        BruteForceShapleySubsets(q, exo, endo, fact))
+                << context;
+          }
+        }
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GE(compared, 30u);
 }
 
 // ------------------------------------------------------- service batches --
